@@ -314,9 +314,6 @@ class NormalForm:
     def __hash__(self) -> int:
         return hash((self.ctx.R, frozenset(self.terms.items())))
 
-    def ladder_degree(self) -> int:
-        return max((abs(r) for r, _ in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -418,34 +415,3 @@ def commutative_mul(
     """Product in the commutative limit (independent route: lift, multiply
     exactly, project back)."""
     return (f.lift(ctx) * g.lift(ctx)).pi()
-
-
-# spec-facing functional aliases ------------------------------------------
-
-
-def generator(name: str, ctx: AlgebraContext) -> NormalForm:
-    return ctx.generator(name)
-
-
-def nf_mul(f: NormalForm, g: NormalForm) -> NormalForm:
-    return f * g
-
-
-def nf_add(f: NormalForm, g: NormalForm) -> NormalForm:
-    return f + g
-
-
-def nf_adjoint(f: NormalForm) -> NormalForm:
-    return f.adjoint()
-
-
-def nf_pi(f: NormalForm) -> CommutativePoly:
-    return f.pi()
-
-
-def nf_poisson(f: NormalForm, g: NormalForm) -> CommutativePoly:
-    return f.poisson(g)
-
-
-def nf_eval_numeric(f: NormalForm, eps: float) -> Dict[Key, complex]:
-    return f.eval_numeric(eps)

@@ -163,7 +163,9 @@ def _record_line(rec: SolutionRecord, stream) -> str:
 def _resolve_spec(args, family: str) -> ReprSpec:
     if family == "s2min":
         _require(args, R=args.R, n=args.n)
-        rec = solve_minimal_s2(args.R, args.n, tol=args.tol)
+        # verify's --tol is its residual threshold, not a solver tolerance
+        solver = {} if args.command == "verify" else {"tol": args.tol}
+        rec = solve_minimal_s2(args.R, args.n, **solver)
         if not rec.exists:
             raise DomainError(rec.reject_reason)
         return ReprSpec(Family.S2MIN, args.R, args.n, rec.alpha,
@@ -392,15 +394,17 @@ def _parse_R_range(args) -> List[float]:
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
+            lo, hi, count = float(parts[0]), 0.0, 1
+        elif len(parts) == 3:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError
-            if count == 1:
-                return [lo]
-            step = (hi - lo) / (count - 1)
-            return [lo + i * step for i in range(count)]
+        else:
+            raise ValueError
+        if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
+        if count == 1:
+            return [lo]
+        step = (hi - lo) / (count - 1)
+        return [lo + i * step for i in range(count)]
     except ValueError:
         pass
     args._parser.error(f"--R must be a number or lo:hi:count, got {text!r}")
@@ -433,11 +437,24 @@ def _cmd_diagram(args) -> int:
 # parser assembly ------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(sp, *, R=False, R_exact=False, n=False, k=False, alpha=False,
                 beta_prime=False, nu_phase=False, eps=False, tol=None,
                 grid=None, out=False, formats=None, default_format="json"):
     if R:
-        sp.add_argument("--R", type=float, required=True,
+        sp.add_argument("--R", type=_finite_float, required=True,
                         help="surface parameter R")
     if R_exact:
         sp.add_argument("--R", type=Fraction, required=True,
@@ -447,18 +464,18 @@ def _add_common(sp, *, R=False, R_exact=False, n=False, k=False, alpha=False,
     if k:
         sp.add_argument("--k", type=int, help="winding integer k")
     if alpha:
-        sp.add_argument("--alpha", type=float, help="angle step alpha")
+        sp.add_argument("--alpha", type=_finite_float, help="angle step alpha")
     if beta_prime:
-        sp.add_argument("--beta-prime", type=float, dest="beta_prime",
+        sp.add_argument("--beta-prime", type=_finite_float, dest="beta_prime",
                         help="angle offset beta'")
     if nu_phase:
-        sp.add_argument("--nu-phase", type=float, dest="nu_phase",
+        sp.add_argument("--nu-phase", type=_finite_float, dest="nu_phase",
                         help="wrap phase angle; nu = exp(i*phase)")
     if eps:
-        sp.add_argument("--eps", type=float, required=True,
+        sp.add_argument("--eps", type=_finite_float, required=True,
                         help="deformation parameter eps = tan(alpha/2)")
     if tol is not None:
-        sp.add_argument("--tol", type=float, default=tol,
+        sp.add_argument("--tol", type=_finite_float, default=tol,
                         help=f"numeric tolerance (default {tol})")
     if grid is not None:
         sp.add_argument("--grid", type=int, default=grid,
@@ -519,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family", choices=_BUILD_FAMILIES)
     _add_common(sp, R=False, n=True, k=True, alpha=True, beta_prime=True,
                 nu_phase=True, tol=1e-12, out=True)
-    sp.add_argument("--R", type=float, help="surface parameter R")
+    sp.add_argument("--R", type=_finite_float, help="surface parameter R")
 
     sp = new("verify", _cmd_verify,
              "check defining-relation residuals of a file or fresh build")
@@ -528,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "name to build from the flags")
     _add_common(sp, n=True, k=True, alpha=True, beta_prime=True,
                 nu_phase=True, formats=("json", "text"))
-    sp.add_argument("--R", type=float, help="surface parameter R")
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--R", type=_finite_float, help="surface parameter R")
+    sp.add_argument("--tol", type=_finite_float, default=None,
                     help="pass threshold (default 1e-10 * n)")
 
     sp = new("reduce", _cmd_reduce,
@@ -556,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family", choices=_REP_FAMILIES)
     _add_common(sp, n=True, k=True, alpha=True, beta_prime=True,
                 nu_phase=True, tol=1e-12, out=True)
-    sp.add_argument("--R", type=float, help="surface parameter R")
+    sp.add_argument("--R", type=_finite_float, help="surface parameter R")
 
     return parser
 
@@ -578,9 +595,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail(args, str(exc))
     except OSError as exc:
         return _fail(args, f"i/o error: {exc}")
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

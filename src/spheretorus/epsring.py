@@ -7,13 +7,23 @@ This class of functions is closed under the ring operations, under
 conjugation (``eps`` is self-adjoint), and contains every phase
 ``e^{i s alpha}`` through the half-angle substitution ``eps = tan(alpha/2)``.
 
+Inside an :class:`EpsScalar` the numerator is kept as Gaussian integers over
+one positive common denominator: ``p = (c_0 + c_1 eps + ...) / d`` with each
+``c_k`` a pair ``(re, im)`` of Python ints.  Products and sums are then
+integer convolutions, and normalisation is content / primitive-part
+reduction: divide out the gcd of all parts and ``d``.  Because ``1 + eps^2``
+is monic, dividing it out of an integer numerator stays in the integers.
+
 All arithmetic here is exact; floats only appear in :meth:`EpsScalar.eval`.
+:class:`CRat` is the exchange type for single coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, zip_longest
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Tuple, Union
 
 
@@ -88,106 +98,137 @@ CR_I = CRat(Fraction(0), Fraction(1))
 CR_HALF = CRat(Fraction(1, 2), Fraction(0))
 
 
-def _pstrip(coeffs: list) -> tuple:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
+# Gaussian-integer polynomials: sequences of (re, im) int pairs, lowest
+# degree first.
+
+_ONE_PLUS_EPS2 = ((1, 0), (0, 0), (1, 0))
 
 
-def _padd(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else CR_ZERO
-        y = b[i] if i < len(b) else CR_ZERO
-        out.append(x + y)
-    return _pstrip(out)
-
-
-def _pmul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [CR_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
+def _convolve(a, b) -> list:
+    """Product of two nonzero polynomials (no trailing zeros appear)."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        (ar, ai), = a
+        return [(ar * br - ai * bi, ar * bi + ai * br) for br, bi in b]
+    n = len(a) + len(b) - 1
+    re, im = [0] * n, [0] * n
+    for i, (ar, ai) in enumerate(a):
+        if not (ar or ai):
             continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _pstrip(out)
+        for k, (br, bi) in enumerate(b, i):
+            re[k] += ar * br - ai * bi
+            im[k] += ar * bi + ai * br
+    return list(zip(re, im))
 
 
-def _pdiv_circle(coeffs: tuple) -> Tuple[Optional[tuple], tuple]:
-    """Divide a polynomial by (1 + x^2); return (quotient, remainder).
-
-    The quotient is None when the remainder is nonzero.
-    """
-    work = list(coeffs)
-    deg = len(work) - 1
-    if deg < 2:
-        rem = _pstrip(work)
-        return ((), ()) if not rem else (None, rem)
-    quot = [CR_ZERO] * (deg - 1)
-    for i in range(deg, 1, -1):
-        c = work[i]
-        if c.is_zero():
-            continue
-        quot[i - 2] = quot[i - 2] + c
-        work[i - 2] = work[i - 2] - c
-        work[i] = CR_ZERO
-    rem = _pstrip(work[:2])
-    if rem:
-        return None, rem
-    return _pstrip(quot), ()
+def _times_circle(c, times: int):
+    """c * (1 + eps^2)^times."""
+    for _ in range(times):
+        c = _convolve(c, _ONE_PLUS_EPS2)
+    return c
 
 
-_CIRCLE = (CR_ONE, CR_ZERO, CR_ONE)  # 1 + x^2
+def _div_circle(c) -> Optional[list]:
+    """c / (1 + eps^2) for c of degree >= 2, or None when the remainder is
+    nonzero."""
+    re = [p[0] for p in c]
+    im = [p[1] for p in c]
+    for k in range(len(c) - 1, 1, -1):
+        re[k - 2] -= re[k]
+        im[k - 2] -= im[k]
+    if re[0] or re[1] or im[0] or im[1]:
+        return None
+    return list(zip(re[2:], im[2:]))
+
+
+def _canonical(c, d: int, m: int) -> "EpsScalar":
+    """The EpsScalar (c / d) / (1 + eps^2)^m in canonical form; d > 0."""
+    c = list(c)
+    while c and not (c[-1][0] or c[-1][1]):
+        c.pop()
+    if not c:
+        return ES_ZERO
+    if m < 0:
+        c, m = _times_circle(c, -m), 0
+    while m and len(c) > 2:
+        quot = _div_circle(c)
+        if quot is None:
+            break
+        c, m = quot, m - 1
+    if d != 1:
+        g = gcd(d, *chain.from_iterable(c))
+        if g != 1:
+            c = [(re // g, im // g) for re, im in c]
+            d //= g
+    return _new(tuple(c), d, m)
 
 
 class EpsScalar:
     """An element p(eps)/(1+eps^2)^m, kept in canonical form.
 
-    Canonical means: trailing zero coefficients stripped, and either
-    ``den_pow == 0`` or the numerator is not divisible by (1+eps^2).
-    Equality and hashing act on the canonical data, so equal values
-    compare equal regardless of how they were produced.
+    The numerator is stored as ``_c``, a tuple of ``(re, im)`` int pairs
+    (coefficient of eps^k at index k), over the positive common
+    denominator ``_d``; ``den_pow`` is m.  Canonical means: trailing zero
+    pairs stripped; the gcd of every part and ``_d`` is 1; and either
+    ``den_pow == 0`` or the numerator is not divisible by (1+eps^2).  Zero
+    is ``_c == ()``, ``_d == 1``, ``den_pow == 0``.  Equality and hashing
+    act on this raw data, so equal values compare equal regardless of how
+    they were produced.  :attr:`num` gives the numerator as
+    :class:`CRat` coefficients.
     """
 
-    __slots__ = ("num", "den_pow")
+    __slots__ = ("_c", "_d", "den_pow")
 
-    def __init__(self, coeffs: Iterable = (), den_pow: int = 0):
-        coeffs = [c if isinstance(c, CRat) else CRat.of(c) for c in coeffs]
-        num = _pstrip(coeffs)
-        if den_pow < 0:
-            num = _pmul(num, _ppow(_CIRCLE, -den_pow))
-            den_pow = 0
-        if not num:
-            den_pow = 0
-        while den_pow > 0:
-            quot, rem = _pdiv_circle(num)
-            if quot is None:
-                break
-            num = quot
-            den_pow -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den_pow", den_pow)
+    def __new__(cls, coeffs: Iterable = (), den_pow: int = 0):
+        crats = [c if isinstance(c, CRat) else CRat.of(c) for c in coeffs]
+        d = lcm(*(part.denominator for c in crats for part in (c.re, c.im)))
+        pairs = [(c.re.numerator * (d // c.re.denominator),
+                  c.im.numerator * (d // c.im.denominator)) for c in crats]
+        return _canonical(pairs, d, den_pow)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("EpsScalar is immutable")
+
+    @property
+    def num(self) -> Tuple[CRat, ...]:
+        """Numerator coefficients as exact complex rationals."""
+        d = self._d
+        return tuple(CRat(Fraction(re, d), Fraction(im, d))
+                     for re, im in self._c)
 
     @staticmethod
     def of(value: "EpsScalar | CRat | _RationalInput") -> "EpsScalar":
         if isinstance(value, EpsScalar):
             return value
-        return EpsScalar((CRat.of(value),))
+        return EpsScalar((value,))
 
     # ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "EpsScalar":
         other = EpsScalar.of(other)
-        m = max(self.den_pow, other.den_pow)
-        a = _pmul(self.num, _ppow(_CIRCLE, m - self.den_pow))
-        b = _pmul(other.num, _ppow(_CIRCLE, m - other.den_pow))
-        return EpsScalar(_padd(a, b), m)
+        a, b = self._c, other._c
+        if not a:
+            return other
+        if not b:
+            return self
+        d, d2 = self._d, other._d
+        if d != d2:
+            g = gcd(d, d2)
+            sa, sb = d2 // g, d // g
+            a = [(re * sa, im * sa) for re, im in a]
+            b = [(re * sb, im * sb) for re, im in b]
+            d *= sa
+        m, m2 = self.den_pow, other.den_pow
+        if m < m2:
+            a, m = _times_circle(a, m2 - m), m2
+        elif m2 < m:
+            b = _times_circle(b, m - m2)
+        return _canonical(
+            [(x[0] + y[0], x[1] + y[1])
+             for x, y in zip_longest(a, b, fillvalue=(0, 0))],
+            d, m,
+        )
 
     __radd__ = __add__
 
@@ -198,13 +239,15 @@ class EpsScalar:
         return EpsScalar.of(other) + (-self)
 
     def __neg__(self) -> "EpsScalar":
-        return EpsScalar(tuple(-c for c in self.num), self.den_pow)
+        return _new(tuple((-re, -im) for re, im in self._c), self._d,
+                    self.den_pow)
 
     def __mul__(self, other) -> "EpsScalar":
         other = EpsScalar.of(other)
-        return EpsScalar(
-            _pmul(self.num, other.num), self.den_pow + other.den_pow
-        )
+        if not self._c or not other._c:
+            return ES_ZERO
+        return _canonical(_convolve(self._c, other._c), self._d * other._d,
+                          self.den_pow + other.den_pow)
 
     __rmul__ = __mul__
 
@@ -225,47 +268,54 @@ class EpsScalar:
 
     def conjugate(self) -> "EpsScalar":
         """Adjoint action: eps is self-adjoint, coefficients conjugate."""
-        return EpsScalar(tuple(c.conjugate() for c in self.num), self.den_pow)
+        return _new(tuple((re, -im) for re, im in self._c), self._d,
+                    self.den_pow)
 
     def divide_by_eps(self) -> "EpsScalar":
         """Exact division by eps; raises NotDivisible if the constant
         coefficient of the numerator is nonzero."""
-        if not self.num:
+        if not self._c:
             return self
-        if not self.num[0].is_zero():
+        if self._c[0] != (0, 0):
             raise NotDivisible("scalar is not divisible by eps")
-        return EpsScalar(self.num[1:], self.den_pow)
+        # eps and 1+eps^2 are coprime, so the result is still canonical
+        return _new(self._c[1:], self._d, self.den_pow)
 
     def try_inverse(self) -> "EpsScalar | None":
         """Inverse when the value is a unit c*(1+eps^2)^j, else None."""
-        num, extra = self.num, 0
-        while len(num) > 2:
-            quot, rem = _pdiv_circle(num)
-            if quot is None:
+        c, extra = self._c, 0
+        while len(c) > 2:
+            c = _div_circle(c)
+            if c is None:
                 return None
-            num, extra = quot, extra + 1
-        if len(num) != 1:
+            extra += 1
+        if len(c) != 1:
             return None
-        c = num[0]
-        return EpsScalar((CR_ONE / c,), extra - self.den_pow)
+        (re, im), = c
+        d = self._d
+        # d / (re + i im) = d (re - i im) / (re^2 + im^2)
+        return _canonical([(d * re, -d * im)], re * re + im * im,
+                          extra - self.den_pow)
 
     # queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._c
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._c)
 
     def at_zero(self) -> CRat:
         """Exact value at eps = 0 (the commutative limit of a coefficient)."""
-        return self.num[0] if self.num else CR_ZERO
+        return self.num[0] if self._c else CR_ZERO
 
     def eval(self, eps: float) -> complex:
         """Numeric value at a real eps."""
+        d = self._d
         acc = 0j
-        for c in reversed(self.num):
-            acc = acc * eps + complex(c)
+        for re, im in reversed(self._c):
+            # int / int is correctly rounded, as float(Fraction(re, d)) is
+            acc = acc * eps + complex(re / d, im / d)
         return acc / (1.0 + eps * eps) ** self.den_pow
 
     def eval_exact(self, eps: Fraction) -> CRat:
@@ -287,13 +337,14 @@ class EpsScalar:
                 other = EpsScalar.of(other)
             else:
                 return NotImplemented
-        return self.num == other.num and self.den_pow == other.den_pow
+        return (self._c == other._c and self._d == other._d
+                and self.den_pow == other.den_pow)
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den_pow))
+        return hash((self._c, self._d, self.den_pow))
 
     def __str__(self) -> str:
-        if not self.num:
+        if not self._c:
             return "0"
         parts = []
         for k, c in enumerate(self.num):
@@ -315,31 +366,48 @@ class EpsScalar:
     __repr__ = __str__
 
 
-def _ppow(base: tuple, n: int) -> tuple:
-    out = (CR_ONE,)
-    for _ in range(n):
-        out = _pmul(out, base)
+_SET_C = EpsScalar._c.__set__
+_SET_D = EpsScalar._d.__set__
+_SET_M = EpsScalar.den_pow.__set__
+
+
+def _new(c: tuple, d: int, m: int) -> EpsScalar:
+    """An EpsScalar from data that is already canonical."""
+    out = object.__new__(EpsScalar)
+    _SET_C(out, c)
+    _SET_D(out, d)
+    _SET_M(out, m)
     return out
 
 
-ES_ZERO = EpsScalar()
+ES_ZERO = _new((), 1, 0)  # the constructor returns it for a zero numerator
 ES_ONE = EpsScalar((CR_ONE,))
 ES_EPS = EpsScalar((CR_ZERO, CR_ONE))
 ES_I = EpsScalar((CR_I,))
 # 1/(1 + eps^2), a generator of the scalar ring in its own right
 ES_CIRCLE_INV = EpsScalar((CR_ONE,), 1)
 
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
 
 def phase(s: int) -> EpsScalar:
     """e^{i s alpha} as an exact scalar, alpha the half-angle of eps.
 
     e^{i alpha} = (1 + i eps)^2 / (1 + eps^2); negative s conjugates.
+    The numerator (1 +- i eps)^(2|s|) is written out by the binomial
+    theorem; it is canonical as it stands (constant term 1, and 1 - i eps
+    does not divide it).
     """
     if s == 0:
         return ES_ONE
-    base = EpsScalar((CR_ONE, CR_I)) ** (2 * abs(s))
-    out = EpsScalar(base.num, abs(s))
-    return out if s > 0 else out.conjugate()
+    n = 2 * abs(s)
+    sign = 1 if s > 0 else -1
+    coeffs = []
+    for k in range(n + 1):
+        re, im = _I_POWERS[k % 4]
+        b = comb(n, k)
+        coeffs.append((b * re, sign * b * im))
+    return _new(tuple(coeffs), 1, abs(s))
 
 
 def sin_alpha() -> EpsScalar:

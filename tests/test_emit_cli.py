@@ -221,6 +221,8 @@ def test_cli_usage_error_exits_2(capsys):
     assert cli.main(["solve-min-s2", "--R", "0.5"]) == 2  # missing --n
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["sweep", "--n", "5", "--R", "1:2"]) == 2
+    assert cli.main(["sweep", "--n", "5", "--R", "nan"]) == 2
+    assert cli.main(["sweep", "--n", "5", "--R", "0:inf:3"]) == 2
     capsys.readouterr()
 
 
@@ -308,6 +310,43 @@ def test_cli_verify_family_target(capsys):
     rc = cli.main(["verify", "nonsense"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_cli_verify_s2min_family_matches_file(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    rc = cli.main(["build", "s2min", "--R", "0.5", "--n", "5",
+                   "--out", str(path)])
+    assert rc == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    rc = cli.main(["verify", "s2min", "--R", "0.5", "--n", "5"])
+    out = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in out.err
+    assert out.out == from_file
+    # --tol is the residual threshold only; the chain is solved as built
+    rc = cli.main(["verify", "s2min", "--R", "0.5", "--n", "5",
+                   "--tol", "1e-3"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["topology", "--R={}"],
+    ["classify", "--R={}", "--eps", "0.5"],
+    ["classify", "--R", "1.05", "--eps={}"],
+    ["solve-min-s2", "--R={}", "--n", "5"],
+    ["solve-min-s2", "--R", "0.5", "--n", "5", "--tol={}"],
+])
+def test_cli_rejects_non_finite_floats(argv, value, capsys):
+    rc = cli.main([arg.format(value) for arg in argv])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert "must be a finite number" in out.err
+    assert "Traceback" not in out.err
 
 
 def test_cli_build_s2min_contains_frozen_entry(capsys):

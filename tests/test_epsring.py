@@ -72,6 +72,50 @@ def test_immutable():
         ES_ONE.num = ()
 
 
+_nonzero_crats = _crats.filter(bool)
+_units = st.builds(
+    lambda c, j: EpsScalar((c,)) * ES_CIRCLE_INV ** j,
+    _nonzero_crats,
+    st.integers(min_value=-2, max_value=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars)
+def test_rebuilt_from_num_is_identical(a):
+    again = EpsScalar(a.num, a.den_pow)
+    assert again == a
+    assert hash(again) == hash(a)
+    assert again.num == a.num
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars, _scalars, _units, st.integers(min_value=-3, max_value=3))
+def test_different_routes_give_one_canonical_form(a, b, unit, s):
+    routes = [
+        (a + b) - b,
+        a * unit * unit.try_inverse(),
+        a * phase(s) * phase(-s),
+        -(-a),
+        a.conjugate().conjugate(),
+    ]
+    for value in routes:
+        assert value == a
+        assert hash(value) == hash(a)
+        assert value.num == a.num and value.den_pow == a.den_pow
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_crats, max_size=4), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=2, max_value=60))
+def test_scaling_by_k_over_k_leaves_num_unchanged(coeffs, m, k):
+    base = EpsScalar(tuple(coeffs), m)
+    scaled = EpsScalar(tuple(c * CRat.of(k) for c in coeffs), m)
+    back = scaled * EpsScalar.of(Fraction(1, k))
+    assert back.num == base.num
+    assert back == base and hash(back) == hash(base)
+
+
 # ring axioms ----------------------------------------------------------------
 
 
