@@ -319,7 +319,7 @@ def _cmd_verify(args) -> int:
     target = args.target
     irreducible = None
     if os.path.isfile(target):
-        with open(target, encoding="utf-8") as fh:
+        with open(target, encoding="utf-8", errors="replace") as fh:
             loaded = load_rep_json(fh.read())
     elif target in _BUILD_FAMILIES:
         if target == "fuzzy-sphere":

@@ -2,6 +2,10 @@
 
 All numbers are serialized with 17 significant digits, so emit -> load ->
 emit is byte-identical and loaded matrices reproduce residuals exactly.
+One renderer writes both the pretty and the compact JSON.  Representation
+documents hold their matrices as complex ndarrays, rendered as rows of
+[re, im] pairs; every zero entry is the constant "[0, 0]", so only the
+nonzero entries (O(n) of the n^2 in a banded representation) are formatted.
 """
 
 from __future__ import annotations
@@ -58,8 +62,29 @@ def _inline_list(lst: list) -> bool:
     )
 
 
-def _render(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _matrix_rows(mat: np.ndarray, sep: str) -> List[str]:
+    """Rows of a 2-D array as "[[re, im], ...]" texts; only nonzeros are formatted."""
+    arr = np.asarray(mat, dtype=complex)
+    nrows, ncols = arr.shape
+    zero = "[0" + sep + "0]"
+    rows = [[zero] * ncols for _ in range(nrows)]
+    r_idx, c_idx = np.nonzero(arr)
+    for r, c, v in zip(r_idx.tolist(), c_idx.tolist(), arr[r_idx, c_idx].tolist()):
+        rows[r][c] = "[" + _num_str(v.real) + sep + _num_str(v.imag) + "]"
+    return ["[" + sep.join(row) + "]" for row in rows]
+
+
+def _block(open_: str, items: List[str], close: str, pad: Optional[str]) -> str:
+    if not items:
+        return open_ + close
+    if pad is None:
+        return open_ + ",".join(items) + close
+    inner = ",\n".join(pad + "  " + item for item in items)
+    return open_ + "\n" + inner + "\n" + pad + close
+
+
+def _render(obj, pad: Optional[str]) -> str:
+    """JSON text of obj: compact when pad is None, else pretty at that indent."""
     if obj is None:
         return "null"
     if obj is True:
@@ -70,70 +95,34 @@ def _render(obj, indent: int = 0) -> str:
         return json.dumps(obj)
     if _is_number(obj):
         return _num_str(obj)
+    sep = "," if pad is None else ", "
+    child = None if pad is None else pad + "  "
+    if isinstance(obj, np.ndarray):
+        return _block("[", _matrix_rows(obj, sep), "]", pad)
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        if _inline_list(obj):
-            return "[" + ", ".join(_render(v) for v in obj) + "]"
-        inner = ",\n".join(pad + "  " + _render(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+        items = [_render(v, child) for v in obj]
+        if pad is not None and _inline_list(obj):
+            return "[" + sep.join(items) + "]"
+        return _block("[", items, "]", pad)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _render(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        colon = ":" if pad is None else ": "
+        items = [json.dumps(str(k)) + colon + _render(v, child)
+                 for k, v in obj.items()]
+        return _block("{", items, "}", pad)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def render_json(obj) -> str:
     """Pretty, deterministic JSON text (17 significant digits, final newline)."""
-    return _render(obj) + "\n"
+    return _render(obj, "") + "\n"
 
 
 def render_json_compact(obj) -> str:
     """Single-line JSON with no whitespace, same number formatting."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if _is_number(obj):
-        return _num_str(obj)
-    if isinstance(obj, list):
-        return "[" + ",".join(render_json_compact(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join(
-            json.dumps(str(k)) + ":" + render_json_compact(v)
-            for k, v in obj.items()
-        ) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _write_text(text: str, path: Optional[str]) -> None:
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    return _render(obj, None)
 
 
 # representation JSON -------------------------------------------------------
-
-
-def _matrix_pairs(mat: np.ndarray) -> List[List[List[float]]]:
-    arr = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-
-
-def _pairs_matrix(rows) -> np.ndarray:
-    return np.array(
-        [[complex(pair[0], pair[1]) for pair in row] for row in rows],
-        dtype=complex,
-    )
 
 
 class NcTorusPair(NamedTuple):
@@ -148,7 +137,8 @@ class NcTorusPair(NamedTuple):
 
 
 def rep_document(m: ReprMatrices, report: Optional[ResidualReport] = None) -> dict:
-    """The JSON document (as a dict) for a representation."""
+    """The JSON document (as a dict) for a representation; its matrices are
+    the representation's own ndarrays, not copies."""
     spec = m.spec
     if report is None:
         if spec.family == Family.FUZZY_SPHERE:
@@ -167,11 +157,7 @@ def rep_document(m: ReprMatrices, report: Optional[ResidualReport] = None) -> di
         "k": None if spec.k is None else int(spec.k),
         "nu": [float(spec.nu.real), float(spec.nu.imag)],
         "eps": float(spec.eps),
-        "matrices": {
-            "u": _matrix_pairs(m.u),
-            "ap": _matrix_pairs(m.ap),
-            "am": _matrix_pairs(m.am),
-        },
+        "matrices": {"u": m.u, "ap": m.ap, "am": m.am},
         "residuals": {key: float(residuals[key]) for key in sorted(residuals)},
     }
 
@@ -186,72 +172,81 @@ def nc_torus_document(
         "k": int(k),
         "beta": float(beta),
         "nu": [float(complex(nu).real), float(complex(nu).imag)],
-        "matrices": {"u": _matrix_pairs(u), "v": _matrix_pairs(v)},
+        "matrices": {"u": u, "v": v},
         "residuals": {key: float(residuals[key]) for key in sorted(residuals)},
     }
 
 
-def emit_rep_json(
-    m: ReprMatrices,
-    path: Optional[str] = None,
-    report: Optional[ResidualReport] = None,
-) -> str:
-    """Serialize a representation; write to path when given, return the text."""
-    text = render_json(rep_document(m, report))
-    _write_text(text, path)
-    return text
+def emit_rep_json(m: ReprMatrices, report: Optional[ResidualReport] = None) -> str:
+    """The JSON text of a representation."""
+    return render_json(rep_document(m, report))
 
 
-def emit_nc_torus_json(
-    u: np.ndarray,
-    v: np.ndarray,
-    n: int,
-    k: int,
-    beta: float = 0.0,
-    nu: complex = 1.0 + 0.0j,
-    path: Optional[str] = None,
-) -> str:
-    text = render_json(nc_torus_document(u, v, n, k, beta, nu))
-    _write_text(text, path)
-    return text
+def emit_nc_torus_json(u: np.ndarray, v: np.ndarray, n: int, k: int,
+                       beta: float = 0.0, nu: complex = 1.0 + 0.0j) -> str:
+    return render_json(nc_torus_document(u, v, n, k, beta, nu))
+
+
+def _field(doc: dict, key: str, shape: tuple = (), kinds: str = "iuf") -> np.ndarray:
+    """doc[key] as an array of that shape and dtype kind, with finite entries."""
+    try:
+        arr = np.array(doc.get(key))
+    except ValueError:
+        arr = None  # ragged nesting
+    if arr is None or arr.shape != shape or arr.dtype.kind not in kinds:
+        want = (f"an array of shape {shape}" if shape
+                else "an integer" if kinds == "i" else "a number")
+        raise InvalidSpec(f"field {key!r} must be {want}, got {doc.get(key)!r:.40}")
+    if not np.isfinite(arr).all():
+        raise InvalidSpec(f"field {key!r} holds a non-finite number")
+    return arr
 
 
 def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
-    """Read back a representation document emitted by this module."""
-    doc = json.loads(text)
-    family = doc["family"]
-    if family == Family.NC_TORUS.value:
-        return NcTorusPair(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
-            beta=float(doc["beta"]),
-            nu=complex(doc["nu"][0], doc["nu"][1]),
-            u=_pairs_matrix(doc["matrices"]["u"]),
-            v=_pairs_matrix(doc["matrices"]["v"]),
-        )
+    """Read back a representation document emitted by this module.
+
+    Missing or mistyped fields, matrices that are not n x n [re, im] pairs
+    and non-finite numbers raise InvalidSpec.  Entries off the band load
+    as they are, so that verify reports them in the residuals.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidSpec(f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidSpec("a representation document is a JSON object")
+    family = doc.get("family")
     try:
         fam = Family(family)
     except ValueError:
-        raise InvalidSpec(f"unknown representation family {family!r}")
+        raise InvalidSpec(f"unknown representation family {family!r:.40}") from None
+    n = int(_field(doc, "n", kinds="i"))
+    mats = doc["matrices"] if isinstance(doc.get("matrices"), dict) else {}
+
+    def matrix(name: str) -> np.ndarray:
+        return _field(mats, name, (n, n, 2)).astype(float).view(complex)[..., 0]
+
+    nu = complex(*_field(doc, "nu", (2,)).tolist())
+    if fam == Family.NC_TORUS:
+        k = int(_field(doc, "k", kinds="i"))
+        return NcTorusPair(n, k, float(_field(doc, "beta")), nu,
+                           matrix("u"), matrix("v"))
     spec = ReprSpec(
         family=fam,
-        R=float(doc["R"]),
-        n=int(doc["n"]),
-        alpha=float(doc["alpha"]),
-        beta_prime=float(doc["beta_prime"]),
-        k=None if doc.get("k") is None else int(doc["k"]),
-        nu=complex(doc["nu"][0], doc["nu"][1]),
-        M=(int(doc["n"]) - 1) // 2 if fam == Family.T2WINDOW else None,
+        R=float(_field(doc, "R")),
+        n=n,
+        alpha=float(_field(doc, "alpha")),
+        beta_prime=float(_field(doc, "beta_prime")),
+        k=None if doc.get("k") is None else int(_field(doc, "k", kinds="i")),
+        nu=nu,
+        M=(n - 1) // 2 if fam == Family.T2WINDOW else None,
         # keep the stored deformation value authoritative so that
         # emit -> load -> emit is byte-identical
-        eps_value=float(doc["eps"]),
+        eps_value=float(_field(doc, "eps")),
     )
-    return ReprMatrices(
-        spec,
-        u=_pairs_matrix(doc["matrices"]["u"]),
-        ap=_pairs_matrix(doc["matrices"]["ap"]),
-        am=_pairs_matrix(doc["matrices"]["am"]),
-    )
+    if spec.n != n:
+        raise InvalidSpec(f"window dimension must be odd, got n={n}")
+    return ReprMatrices(spec, matrix("u"), matrix("ap"), matrix("am"))
 
 
 # sweep CSV -----------------------------------------------------------------
@@ -272,7 +267,7 @@ def _csv_num(x: Optional[float]) -> str:
     return "%.12g" % float(x)
 
 
-def emit_sweep_csv(rows: Iterable[SweepRow], path: Optional[str] = None) -> str:
+def emit_sweep_csv(rows: Iterable[SweepRow]) -> str:
     """CSV table of sweep rows; empty optional fields stay blank."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -289,9 +284,7 @@ def emit_sweep_csv(rows: Iterable[SweepRow], path: Optional[str] = None) -> str:
             "true" if row.exists else "false",
             row.reject_reason,
         ])
-    text = buf.getvalue()
-    _write_text(text, path)
-    return text
+    return buf.getvalue()
 
 
 # circle-diagram SVG --------------------------------------------------------
@@ -306,7 +299,7 @@ def _pt(theta: float) -> str:
     return f"{x:.3f},{y:.3f}"
 
 
-def emit_diagram_svg(spec: ReprSpec, path: Optional[str] = None) -> str:
+def emit_diagram_svg(spec: ReprSpec) -> str:
     """Circle diagram: unit circle, forbidden wedge, vertex polygon, dots.
 
     Vertices sit at angles beta' + m*alpha; the forbidden sector is the
@@ -357,6 +350,4 @@ def emit_diagram_svg(spec: ReprSpec, path: Optional[str] = None) -> str:
         x, y = point.split(",")
         parts.append(f'<circle cx="{x}" cy="{y}" r="4.000" fill="#d62728"/>')
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    _write_text(text, path)
-    return text
+    return "\n".join(parts) + "\n"

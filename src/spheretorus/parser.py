@@ -13,6 +13,11 @@ NUMBER is an integer or decimal literal, read exactly (0.557 = 557/1000).
 '[f, g]' is the commutator.  Negative powers exist only for elements that
 reduce to an invertible winding monomial (u, ud, scalars times powers of
 1 + eps^2).
+
+Parentheses and commutator brackets nest at most MAX_NESTING deep; deeper
+input is a ParseError.  Chains that need no nesting (long sums and
+products, repeated adjoints, powers and minus signs) have no length bound:
+they are parsed and folded in loops.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ class ParseError(ValueError):
 
 
 GENERATORS = ("x", "y", "z", "w", "u", "ud", "ap", "am", "eps")
+
+# each level of nesting costs five parser frames and up to four fold frames
+MAX_NESTING = 100
 
 _ATOM_EXPECTED = ("a generator name", "a number", "'('", "'['", "'-'")
 
@@ -138,6 +146,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -156,10 +165,17 @@ class _Parser:
         return self.advance()
 
     def expr(self) -> ExprAst:
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than {MAX_NESTING} levels",
+                self.peek().pos,
+            )
+        self.depth += 1
         node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             node = BinOp(op.kind, node, self.term(), op.pos)
+        self.depth -= 1
         return node
 
     def term(self) -> ExprAst:
@@ -170,11 +186,15 @@ class _Parser:
         return node
 
     def unary(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return Neg(self.unary(), tok.pos)
-        return self.postfix()
+        if self.peek().kind != "-":
+            return self.postfix()
+        signs = []
+        while self.peek().kind == "-":
+            signs.append(self.advance())
+        node = self.postfix()
+        for tok in reversed(signs):
+            node = Neg(node, tok.pos)
+        return node
 
     def postfix(self) -> ExprAst:
         node = self.atom()
@@ -246,37 +266,50 @@ def parse(src: str) -> ExprAst:
 
 
 def fold(ast: ExprAst, ctx: AlgebraContext) -> NormalForm:
-    """Evaluate a syntax tree to its normal form."""
+    """Evaluate a syntax tree to its normal form.
+
+    Chains through the first operand (a + b + c, x'', - - x) are walked in
+    a loop, so only nesting, bounded by MAX_NESTING, recurses."""
     if isinstance(ast, Name):
         if ast.id == "i":
             return ctx.scalar(CR_I)
         return ctx.generator(ast.id)
     if isinstance(ast, Num):
         return ctx.scalar(ast.value)
-    if isinstance(ast, Neg):
-        return -fold(ast.arg, ctx)
-    if isinstance(ast, BinOp):
-        left, right = fold(ast.left, ctx), fold(ast.right, ctx)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        return left * right
-    if isinstance(ast, Pow):
-        base = fold(ast.base, ctx)
-        if ast.exponent < 0:
-            inv = base.inverse_if_unit()
-            if inv is None:
-                raise ParseError(
-                    "negative power of a non-invertible element", ast.pos
-                )
-            return inv ** (-ast.exponent)
-        return base ** ast.exponent
-    if isinstance(ast, Adjoint):
-        return fold(ast.arg, ctx).adjoint()
     if isinstance(ast, Commutator):
         return fold(ast.left, ctx).commutator(fold(ast.right, ctx))
-    raise TypeError(f"not an expression node: {ast!r}")
+    chain = []
+    while isinstance(ast, (BinOp, Pow, Neg, Adjoint)):
+        chain.append(ast)
+        ast = (ast.left if isinstance(ast, BinOp)
+               else ast.base if isinstance(ast, Pow) else ast.arg)
+    if not chain:
+        raise TypeError(f"not an expression node: {ast!r}")
+    value = fold(ast, ctx)
+    for node in reversed(chain):
+        if isinstance(node, BinOp):
+            right = fold(node.right, ctx)
+            if node.op == "+":
+                value = value + right
+            elif node.op == "-":
+                value = value - right
+            else:
+                value = value * right
+        elif isinstance(node, Pow):
+            if node.exponent < 0:
+                inv = value.inverse_if_unit()
+                if inv is None:
+                    raise ParseError(
+                        "negative power of a non-invertible element", node.pos
+                    )
+                value = inv ** (-node.exponent)
+            else:
+                value = value ** node.exponent
+        elif isinstance(node, Neg):
+            value = -value
+        else:
+            value = value.adjoint()
+    return value
 
 
 def parse_expr(src: str, ctx: AlgebraContext) -> NormalForm:

@@ -217,6 +217,27 @@ def test_cli_reduce_parse_error_exits_2(capsys):
     assert "position 4" in doc["error"]
 
 
+def test_cli_reduce_deep_nesting_exits_2(capsys):
+    expr = "(" * 1200 + "x" + ")" * 1200
+    rc = cli.main(["reduce", "--R", "0", "--expr", expr])
+    assert rc == 2
+    assert "nests deeper" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("expr, same_as", [
+    (" + ".join(["x"] * 3000), "3000*x"),
+    ("u" + "'" * 3001, "ud"),
+    ("-" * 3001 + "x", "-x"),
+    ("*".join(["u"] * 3000), "u^3000"),
+], ids=["sum", "adjoints", "signs", "product"])
+def test_cli_reduce_long_chains(expr, same_as, capsys):
+    assert cli.main(["reduce", "--R", "0", "--expr=" + same_as]) == 0
+    want = capsys.readouterr().out
+    rc = cli.main(["reduce", "--R", "0", "--expr=" + expr])
+    assert rc == 0
+    assert capsys.readouterr().out == want
+
+
 def test_cli_usage_error_exits_2(capsys):
     assert cli.main(["solve-min-s2", "--R", "0.5"]) == 2  # missing --n
     assert cli.main(["no-such-command"]) == 2
@@ -299,6 +320,61 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     rc = cli.main(["verify", str(path)])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def _ragged(doc):
+    doc["matrices"]["ap"][1] = doc["matrices"]["ap"][1][:-1]
+
+
+def _shrunk(doc):
+    doc["n"] = 5  # but the matrices stay 4x4
+
+
+def _missing(doc):
+    del doc["R"]
+
+
+def _non_finite(doc):
+    doc["matrices"]["am"][2][1] = [1e999, 0.0]  # reloads as inf
+
+
+def _mistyped(doc):
+    doc["nu"] = "1+0j"
+
+
+@pytest.mark.parametrize("corrupt", [_ragged, _shrunk, _missing,
+                                     _non_finite, _mistyped])
+def test_cli_verify_rejects_malformed_document(corrupt, tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    cli.main(["build", "s2min", "--R", "0.5", "--n", "4", "--out", str(path)])
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert "error" in json.loads(out.err)
+
+
+@pytest.mark.parametrize("text", [
+    '{"family": "s2min"}',
+    '{"family": "nc-torus", "n": 2, "k": 1, "beta": 0, "nu": [1, 0]}',
+    '[1, 2]',
+    '{"family": "s2min", "n": 2',
+    '{"family": "nc-torus", "n": 1, "k": 1, "beta": NaN, "nu": [1, 0],'
+    ' "matrices": {"u": [[[1, 0]]], "v": [[[1, 0]]]}}',
+    b'\xff\xfe{"family": "s2min"}',
+], ids=["no-fields", "no-matrices", "array", "truncated", "nan", "not-utf8"])
+def test_cli_verify_rejects_malformed_text(text, tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in out.err
+    assert "error" in json.loads(out.err)
 
 
 def test_cli_verify_family_target(capsys):

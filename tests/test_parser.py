@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spheretorus.algebra import AlgebraContext
-from spheretorus.parser import ParseError, fold, parse, parse_expr
+from spheretorus.parser import MAX_NESTING, ParseError, fold, parse, parse_expr
 
 
 @pytest.fixture
@@ -130,3 +130,21 @@ def test_r_literal_matches_context():
     assert parse_expr("x^2 + y^2 - w - 0.625", ctx58).is_zero()
     assert not parse_expr("x^2 + y^2 - w - 0.625",
                           AlgebraContext(Fraction(0))).is_zero()
+
+
+def test_nesting_bound_is_a_parse_error(ctx):
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_expr(deep, ctx) == ctx.generator("x")
+    with pytest.raises(ParseError) as err:
+        parse("(" + deep + ")")
+    assert err.value.pos == MAX_NESTING + 1
+    with pytest.raises(ParseError):
+        parse("[x," * (MAX_NESTING + 1) + "y" + "]" * (MAX_NESTING + 1))
+
+
+def test_worst_nesting_folds_within_the_recursion_limit(ctx):
+    # each level passes through a sum, a product and a parenthesis
+    src = "1+u*(" * MAX_NESTING + "u" + ")" * MAX_NESTING
+    powers = [f"u^{k}" for k in range(MAX_NESTING)] + [f"u^{MAX_NESTING + 1}"]
+    assert parse_expr(src, ctx) == parse_expr(" + ".join(powers), ctx)
+
