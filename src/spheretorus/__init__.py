@@ -25,9 +25,11 @@ from .algebra import (
 from .errors import ChartDomainError, DomainError, InvalidSpec
 from .reps import (
     Family,
+    NcTorusPair,
     ReprMatrices,
     ReprSpec,
     ResidualReport,
+    build,
     build_fuzzy_sphere,
     build_nc_torus,
     build_s2,

@@ -31,8 +31,6 @@ from .epsring import (
     CRat,
     CR_HALF,
     CR_I,
-    CR_ONE,
-    CR_ZERO,
     ES_EPS,
     ES_I,
     ES_ONE,
@@ -43,6 +41,26 @@ from .epsring import (
 
 Key = Tuple[int, int]
 Terms = Dict[Key, EpsScalar]
+
+
+def _terms_str(terms: dict) -> str:
+    """Terms keyed (r, s) as "ap^r*u^s*(c) + ..." (am^-r when r < 0), in
+    key order; "0" when there are none."""
+    if not terms:
+        return "0"
+    chunks = []
+    for (r, s) in sorted(terms):
+        ops = []
+        if r > 0:
+            ops.append("ap" if r == 1 else f"ap^{r}")
+        elif r < 0:
+            ops.append("am" if r == -1 else f"am^{-r}")
+        if s:
+            ops.append("u" if s == 1 else f"u^{s}")
+        body = "*".join(ops)
+        coeff = terms[(r, s)]
+        chunks.append(f"{body}*({coeff})" if body else f"({coeff})")
+    return " + ".join(chunks)
 
 
 class ContextMismatch(ValueError):
@@ -315,25 +333,7 @@ class NormalForm:
         return hash((self.ctx.R, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (r, s) in sorted(self.terms):
-            xi = self.terms[(r, s)]
-            ops = []
-            if r > 0:
-                ops.append("ap" if r == 1 else f"ap^{r}")
-            elif r < 0:
-                ops.append("am" if r == -1 else f"am^{-r}")
-            if s:
-                ops.append("u" if s == 1 else f"u^{s}")
-            body = "*".join(ops)
-            coeff = str(xi)
-            if body:
-                chunks.append(f"{body}*({coeff})")
-            else:
-                chunks.append(f"({coeff})")
-        return " + ".join(chunks)
+        return _terms_str(self.terms)
 
     __repr__ = __str__
 
@@ -390,21 +390,7 @@ class CommutativePoly:
         return acc
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (r, s) in sorted(self.terms):
-            c = self.terms[(r, s)]
-            ops = []
-            if r > 0:
-                ops.append("ap" if r == 1 else f"ap^{r}")
-            elif r < 0:
-                ops.append("am" if r == -1 else f"am^{-r}")
-            if s:
-                ops.append("u" if s == 1 else f"u^{s}")
-            body = "*".join(ops)
-            chunks.append(f"{body}*({c})" if body else f"({c})")
-        return " + ".join(chunks)
+        return _terms_str(self.terms)
 
     __repr__ = __str__
 

@@ -275,29 +275,32 @@ _REGION_FLAGS = {
 }
 
 
-def classify_region(
-    R: float, eps: float, boundary_tol: float = 1e-7
-) -> RegionInfo:
+# relative tolerance of the R = R_eps boundary in classify_region
+R_EPS_REL_TOL = 1e-7
+
+
+def classify_region(R: float, eps: float) -> RegionInfo:
     """Region of the (R, eps) plane and the families available there.
 
-    The boundary R = R_eps = sqrt(1 + eps^2) is matched with a relative
-    tolerance (default 1e-7): probe values are typically decimal roundings
-    of the exact square root and cannot hit it at float equality.
+    R = -1 and R = 1 are matched exactly, as in geometry.topology_of, so
+    both agree on the surface type.  Above R = 1 the irrational boundary
+    R = R_eps = sqrt(1 + eps^2) is matched with the relative tolerance
+    R_EPS_REL_TOL: probe values are typically decimal roundings of the
+    exact square root and cannot hit it at float equality.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     r_eps = math.sqrt(1.0 + eps * eps)
-    scale = max(1.0, r_eps)
-    if abs(R + 1.0) <= boundary_tol:
-        label = RegionLabel.POINT
-    elif R < -1.0:
+    if R < -1.0:
         label = RegionLabel.NULL
-    elif abs(R - 1.0) <= boundary_tol:
-        label = RegionLabel.VARIETY
-    elif abs(R - r_eps) <= boundary_tol * scale:
-        label = RegionLabel.SPHERE_TORUS_BOUNDARY
+    elif R == -1.0:
+        label = RegionLabel.POINT
     elif R < 1.0:
         label = RegionLabel.SPHERE
+    elif R == 1.0:
+        label = RegionLabel.VARIETY
+    elif abs(R - r_eps) <= R_EPS_REL_TOL * r_eps:
+        label = RegionLabel.SPHERE_TORUS_BOUNDARY
     elif R < r_eps:
         label = RegionLabel.SPHERE_TORUS
     else:

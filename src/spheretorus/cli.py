@@ -28,9 +28,7 @@ from .classify import (
     t2_beta_window,
 )
 from .emit import (
-    NcTorusPair,
     emit_diagram_svg,
-    emit_nc_torus_json,
     emit_rep_json,
     emit_sweep_csv,
     load_rep_json,
@@ -43,15 +41,13 @@ from .geometry import slice_curve, topology_of
 from .parser import ParseError, parse_expr
 from .reps import (
     Family,
+    NcTorusPair,
+    ReprMatrices,
     ReprSpec,
+    build,
     build_fuzzy_sphere,
     build_nc_torus,
-    build_s2,
-    build_t2_finite,
-    build_t2_window,
     check_irreducible,
-    fuzzy_sphere_residuals,
-    nc_torus_residuals,
     verify_relations,
 )
 
@@ -199,12 +195,19 @@ def _resolve_spec(args, family: str) -> ReprSpec:
     raise InvalidSpec(f"unknown family {family!r}")
 
 
-def _build_from_spec(spec: ReprSpec):
-    if spec.family in (Family.S2MIN, Family.S2NONMIN):
-        return build_s2(spec)
-    if spec.family == Family.T2:
-        return build_t2_finite(spec)
-    return build_t2_window(spec)
+def _build_target(args, family: str):
+    """What build or verify names by family: a ReprMatrices, or the
+    clock/shift NcTorusPair for nc-torus."""
+    if family == "fuzzy-sphere":
+        _require(args, n=args.n)
+        return build_fuzzy_sphere(args.n)
+    if family == "nc-torus":
+        _require(args, n=args.n, k=args.k)
+        beta = 0.0 if args.beta_prime is None else args.beta_prime
+        nu = _nu(args)
+        return NcTorusPair(args.n, args.k, beta, nu,
+                           *build_nc_torus(args.n, args.k, beta=beta, nu=nu))
+    return build(_resolve_spec(args, family))
 
 
 # subcommand handlers --------------------------------------------------------
@@ -298,73 +301,42 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    family = args.family
-    if family == "fuzzy-sphere":
-        _require(args, n=args.n)
-        _deliver(args, emit_rep_json(build_fuzzy_sphere(args.n)))
-        return 0
-    if family == "nc-torus":
-        _require(args, n=args.n, k=args.k)
-        beta = 0.0 if args.beta_prime is None else args.beta_prime
-        nu = _nu(args)
-        u, v = build_nc_torus(args.n, args.k, beta=beta, nu=nu)
-        _deliver(args, emit_nc_torus_json(u, v, args.n, args.k, beta, nu))
-        return 0
-    spec = _resolve_spec(args, family)
-    _deliver(args, emit_rep_json(_build_from_spec(spec)))
+    _deliver(args, emit_rep_json(_build_target(args, args.family)))
     return 0
 
 
 def _cmd_verify(args) -> int:
     target = args.target
-    irreducible = None
     if os.path.isfile(target):
         with open(target, encoding="utf-8", errors="replace") as fh:
             loaded = load_rep_json(fh.read())
     elif target in _BUILD_FAMILIES:
-        if target == "fuzzy-sphere":
-            _require(args, n=args.n)
-            loaded = build_fuzzy_sphere(args.n)
-        elif target == "nc-torus":
-            _require(args, n=args.n, k=args.k)
-            beta = 0.0 if args.beta_prime is None else args.beta_prime
-            nu = _nu(args)
-            u, v = build_nc_torus(args.n, args.k, beta=beta, nu=nu)
-            loaded = NcTorusPair(args.n, args.k, beta, nu, u, v)
-        else:
-            loaded = _build_from_spec(_resolve_spec(args, target))
+        loaded = _build_target(args, target)
     else:
         args._parser.error(
             f"target {target!r} is neither a readable file nor a family "
             f"({', '.join(_BUILD_FAMILIES)})"
         )
-    if isinstance(loaded, NcTorusPair):
-        family, n = "nc-torus", loaded.n
-        residuals = nc_torus_residuals(loaded.u, loaded.v, loaded.n, loaded.k)
-        excluded = ()
-    else:
-        family, n = loaded.spec.family.value, loaded.spec.n
-        if loaded.spec.family == Family.FUZZY_SPHERE:
-            residuals = fuzzy_sphere_residuals(loaded)
-            excluded = ()
-        else:
-            report = verify_relations(loaded)
-            residuals, excluded = report.residuals, report.excluded
-        irreducible = check_irreducible(loaded)
+    report = verify_relations(loaded)
+    residuals = report.residuals
+    # a clock/shift pair has no ladder, so no irreducibility verdict
+    ladder = isinstance(loaded, ReprMatrices)
+    family, n = ((loaded.spec.family, loaded.spec.n) if ladder
+                 else (Family.NC_TORUS, loaded.n))
     tol = args.tol if args.tol is not None else 1e-10 * n
-    worst = max(residuals.values())
+    worst = report.max_residual
     ok = worst <= tol
     doc = {
-        "family": family,
+        "family": family.value,
         "n": n,
         "tol": tol,
         "ok": ok,
         "max_residual": worst,
         "residuals": {key: residuals[key] for key in sorted(residuals)},
-        "excluded": list(excluded),
+        "excluded": list(report.excluded),
     }
-    if irreducible is not None:
-        doc["irreducible"] = irreducible
+    if ladder:
+        doc["irreducible"] = check_irreducible(loaded)
     verdict = _paint("ok", "32", sys.stdout) if ok else \
         _paint("FAIL", "31", sys.stdout)
     lines = [f"{key} {residuals[key]:.6e}" for key in sorted(residuals)]

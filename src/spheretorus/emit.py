@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .classify import SweepRow
 from .errors import InvalidSpec
 from .reps import (
     Family,
+    NcTorusPair,
     ReprMatrices,
     ReprSpec,
     ResidualReport,
-    fuzzy_sphere_residuals,
     nc_torus_residuals,
     verify_relations,
 )
@@ -125,28 +125,11 @@ def render_json_compact(obj) -> str:
 # representation JSON -------------------------------------------------------
 
 
-class NcTorusPair(NamedTuple):
-    """Clock/shift reference pair, as stored in its JSON document."""
-
-    n: int
-    k: int
-    beta: float
-    nu: complex
-    u: np.ndarray
-    v: np.ndarray
-
-
 def rep_document(m: ReprMatrices, report: Optional[ResidualReport] = None) -> dict:
     """The JSON document (as a dict) for a representation; its matrices are
     the representation's own ndarrays, not copies."""
     spec = m.spec
-    if report is None:
-        if spec.family == Family.FUZZY_SPHERE:
-            residuals: Dict[str, float] = fuzzy_sphere_residuals(m)
-        else:
-            residuals = verify_relations(m).residuals
-    else:
-        residuals = report.residuals
+    residuals = (verify_relations(m) if report is None else report).residuals
     return {
         "family": spec.family.value,
         "R": float(spec.R),
@@ -177,8 +160,12 @@ def nc_torus_document(
     }
 
 
-def emit_rep_json(m: ReprMatrices, report: Optional[ResidualReport] = None) -> str:
-    """The JSON text of a representation."""
+def emit_rep_json(m: Union[ReprMatrices, NcTorusPair],
+                  report: Optional[ResidualReport] = None) -> str:
+    """The JSON text of a representation or of a clock/shift pair (whose
+    document always carries freshly computed residuals)."""
+    if isinstance(m, NcTorusPair):
+        return render_json(nc_torus_document(m.u, m.v, m.n, m.k, m.beta, m.nu))
     return render_json(rep_document(m, report))
 
 

@@ -12,15 +12,22 @@ of 2*pi and carries a free wrap phase nu; an irrational alpha gives an
 infinite lattice of which a finite window is materialized.  Two reference
 models (the standard fuzzy sphere and the finite noncommutative torus) are
 included as independent cross-checks of the scaffold.
+
+One constructor, ``_band``, fills that scaffold for every family from its
+eigen-angles, its coupling vector and an optional wrap corner; the builders
+only check existence and compute the couplings.  ``build(spec)`` picks the
+builder of a spec's family, and ``verify_relations`` picks the relation
+table: the deformed relations, the fuzzy sphere's su(2) relations, or the
+Weyl relation of an ``NcTorusPair``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -131,6 +138,17 @@ class ReprMatrices:
     am: np.ndarray
 
 
+class NcTorusPair(NamedTuple):
+    """Clock/shift reference pair, as stored in its JSON document."""
+
+    n: int
+    k: int
+    beta: float
+    nu: complex
+    u: np.ndarray
+    v: np.ndarray
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     residuals: Dict[str, float]
@@ -144,16 +162,30 @@ class ResidualReport:
         return self.max_residual <= tol
 
 
-def _chain_c2(spec: ReprSpec, m_values) -> list:
-    return [
+def _chain_c2(spec: ReprSpec, m_values) -> np.ndarray:
+    return np.array([
         c_squared(spec.beta_prime + m * spec.alpha, spec.R, spec.alpha)
         for m in m_values
-    ]
+    ])
 
 
-def _diag_u(spec: ReprSpec, m_values) -> np.ndarray:
-    angles = [spec.beta + m * spec.alpha for m in m_values]
-    return np.diag(np.exp(1j * np.asarray(angles, dtype=float)))
+def _angles(spec: ReprSpec, lo: int, hi: int) -> np.ndarray:
+    """Winding eigen-angles beta + m*alpha for lo <= m < hi."""
+    return spec.beta + np.arange(lo, hi) * spec.alpha
+
+
+def _band(angles, couplings, corner: Optional[complex] = None):
+    """The shared scaffold as dense (u, ap, am).
+
+    u = diag(e^{i*angles}); am holds the couplings on its superdiagonal,
+    am[j, j+1] = couplings[j], plus the wrap corner am[n-1, 0] of a cycle;
+    ap = am^dagger.
+    """
+    u = np.diag(np.exp(1j * np.asarray(angles, dtype=float)))
+    am = np.diag(np.asarray(couplings, dtype=complex), 1)
+    if corner is not None:
+        am[-1, 0] = corner
+    return u, am.conj().T, am
 
 
 def build_s2(spec: ReprSpec, endpoint_tol: float = 1e-9) -> ReprMatrices:
@@ -179,11 +211,7 @@ def build_s2(spec: ReprSpec, endpoint_tol: float = 1e-9) -> ReprMatrices:
             raise InvalidSpec(
                 f"interior inequality fails at m={m}: |C|^2 = {c2[m]:.6g}"
             )
-    coup = [math.sqrt(c2[m]) for m in range(1, n)]
-    ap = np.zeros((n, n), dtype=complex)
-    for m in range(1, n):
-        ap[m, m - 1] = coup[m - 1]
-    return ReprMatrices(spec, _diag_u(spec, range(n)), ap, ap.conj().T)
+    return ReprMatrices(spec, *_band(_angles(spec, 0, n), np.sqrt(c2[1:n])))
 
 
 def build_t2_finite(spec: ReprSpec) -> ReprMatrices:
@@ -203,11 +231,9 @@ def build_t2_finite(spec: ReprSpec) -> ReprMatrices:
             raise InvalidSpec(
                 f"cycle inequality fails at m={m}: |C|^2 = {c2[m]:.6g}"
             )
-    am = np.zeros((n, n), dtype=complex)
-    for m in range(1, n):
-        am[m - 1, m] = math.sqrt(c2[m])
-    am[n - 1, 0] = spec.nu * math.sqrt(c2[0])
-    return ReprMatrices(spec, _diag_u(spec, range(n)), am.conj().T, am)
+    coup = np.sqrt(c2)
+    return ReprMatrices(spec, *_band(_angles(spec, 0, n), coup[1:],
+                                     spec.nu * coup[0]))
 
 
 def build_t2_window(spec: ReprSpec) -> ReprMatrices:
@@ -233,14 +259,21 @@ def build_t2_window(spec: ReprSpec) -> ReprMatrices:
             f"alpha = 2*pi*{near} is a rational angle; build the finite torus"
         )
     M = spec.M
-    ms = range(-M, M + 1)
-    c2 = _chain_c2(spec, ms)
-    c2 = [max(v, 0.0) for v in c2]  # clamp float dust at the semi-infinite edge
-    dim = 2 * M + 1
-    am = np.zeros((dim, dim), dtype=complex)
-    for j in range(1, dim):
-        am[j - 1, j] = math.sqrt(c2[j])
-    return ReprMatrices(spec, _diag_u(spec, ms), am.conj().T, am)
+    c2 = _chain_c2(spec, range(-M + 1, M + 1))
+    # clamp float dust at the semi-infinite edge
+    return ReprMatrices(spec, *_band(_angles(spec, -M, M + 1),
+                                     np.sqrt(np.maximum(c2, 0.0))))
+
+
+def build(spec: ReprSpec) -> ReprMatrices:
+    """The representation a spec selects, from its family's builder."""
+    if spec.family in (Family.S2MIN, Family.S2NONMIN):
+        return build_s2(spec)
+    if spec.family == Family.T2:
+        return build_t2_finite(spec)
+    if spec.family == Family.T2WINDOW:
+        return build_t2_window(spec)
+    raise InvalidSpec(f"no spec builder for family {spec.family.value!r}")
 
 
 def split_xyzw(m: ReprMatrices):
@@ -256,12 +289,19 @@ def _fro(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat))
 
 
-def verify_relations(m: ReprMatrices) -> ResidualReport:
-    """Frobenius residuals of all defining relations.
+def verify_relations(m: Union[ReprMatrices, NcTorusPair]) -> ResidualReport:
+    """Frobenius residuals of the defining relations of m's family.
 
-    For a window build, boundary rows and columns are excluded from the
-    norms (truncation corrupts them) and reported in ``excluded``.
+    A deformed family is checked against the deformed relations, the fuzzy
+    sphere against su(2) and the unit Casimir, and an NcTorusPair against
+    the Weyl relation.  For a window build, boundary rows and columns are
+    excluded from the norms (truncation corrupts them) and reported in
+    ``excluded``.
     """
+    if isinstance(m, NcTorusPair):
+        return ResidualReport(nc_torus_residuals(m.u, m.v, m.n, m.k))
+    if m.spec.family == Family.FUZZY_SPHERE:
+        return ResidualReport(fuzzy_sphere_residuals(m))
     x, y, z, w = split_xyzw(m)
     eps, R = m.spec.eps, m.spec.R
     eye = np.eye(m.u.shape[0])
@@ -281,10 +321,8 @@ def verify_relations(m: ReprMatrices) -> ResidualReport:
         last = m.u.shape[0] - 1
         excluded = (0, last)
         for mat in deltas.values():
-            mat[0, :] = 0.0
-            mat[last, :] = 0.0
-            mat[:, 0] = 0.0
-            mat[:, last] = 0.0
+            mat[[0, last], :] = 0.0
+            mat[:, [0, last]] = 0.0
     return ResidualReport({k: _fro(v) for k, v in deltas.items()}, excluded)
 
 
@@ -311,23 +349,36 @@ def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
 
 
 def check_irreducible(m: ReprMatrices, tol: float = 1e-8) -> bool:
-    """Distinct winding eigenvalues plus a connected ladder graph."""
+    """Distinct winding eigenvalues plus a connected ladder graph.
+
+    Two eigenvalues closer than tol make m reducible; so does a ladder
+    graph (an edge wherever |ap| + |ap|^T exceeds 1e-12, on or off the
+    band) with more than one component.
+    """
     diag = np.diag(m.u)
     n = len(diag)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(diag[i] - diag[j]) <= tol:
-                return False
+    # a close pair is also close in its real parts: after sorting by them,
+    # compare each eigenvalue with its k-th successor while any such pair
+    # still lies within tol in the real part
+    d = diag[np.argsort(diag.real, kind="stable")]
+    for k in range(1, n):
+        near = d.real[k:] - d.real[:-k] <= tol
+        if not near.any():
+            break
+        if (np.abs(d[k:][near] - d[:-k][near]) <= tol).any():
+            return False
     strength = np.abs(m.ap) + np.abs(m.ap).T
-    seen = {0}
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if j not in seen and strength[i, j] > 1e-12:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == n
+    src, dst = np.nonzero(strength > 1e-12)
+    # component labels by min-label hooking with pointer jumping; each
+    # label stays a node of its own component, so all are 0 iff connected
+    label = np.arange(n)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, src, label[dst])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return not label.any()
+        label = hooked
 
 
 # reference models ---------------------------------------------------------
@@ -344,11 +395,9 @@ def build_fuzzy_sphere(n: int) -> ReprMatrices:
     if n < 2:
         raise InvalidSpec(f"fuzzy sphere needs n >= 2, got {n}")
     eps = 2.0 / math.sqrt(n * n - 1.0)
-    ap = np.zeros((n, n), dtype=complex)
-    for r in range(n - 1):
-        ap[r + 1, r] = eps * math.sqrt((n - 1 - r) * (r + 1))
-    zdiag = np.array([eps * (r - 0.5 * (n - 1)) for r in range(n)])
-    u = np.diag(np.exp(1j * np.arcsin(zdiag)))
+    r = np.arange(n)
+    zdiag = eps * (r - 0.5 * (n - 1))
+    couplings = eps * np.sqrt((n - 1 - r[:-1]) * (r[:-1] + 1))
     spec = ReprSpec(
         family=Family.FUZZY_SPHERE,
         R=1.0,  # reference model: the round sphere x^2+y^2+z^2 = 1
@@ -357,7 +406,7 @@ def build_fuzzy_sphere(n: int) -> ReprMatrices:
         beta_prime=0.0,
         eps_value=eps,
     )
-    return ReprMatrices(spec, u, ap, ap.conj().T)
+    return ReprMatrices(spec, *_band(np.arcsin(zdiag), couplings))
 
 
 def fuzzy_sphere_residuals(m: ReprMatrices) -> Dict[str, float]:
@@ -388,11 +437,9 @@ def build_nc_torus(
         raise InvalidSpec(f"gcd(n, k) must be 1, got n={n}, k={k}")
     if abs(abs(complex(nu)) - 1.0) > 1e-9:
         raise InvalidSpec("wrap phase must be unimodular")
-    u = np.diag(np.exp(1j * (beta + TWO_PI * np.arange(n) * k / n)))
-    v = np.zeros((n, n), dtype=complex)
-    for r in range(n - 1):
-        v[r + 1, r] = 1.0
-    v[0, n - 1] = complex(nu)
+    # v is the raising half of a band with unit couplings and wrap corner nu
+    u, v, _ = _band(beta + TWO_PI * np.arange(n) * k / n, np.ones(n - 1),
+                    complex(nu).conjugate())
     return u, v
 
 

@@ -388,6 +388,56 @@ def test_cli_verify_family_target(capsys):
     capsys.readouterr()
 
 
+_VERIFY_KEYS = ["excluded", "family", "max_residual", "n", "ok",
+                "residuals", "tol"]
+
+
+@pytest.mark.parametrize("argv, residuals, irreducible", [
+    (["fuzzy-sphere", "--n", "6"],
+     ["casimir", "comm_xy", "comm_yz", "comm_zx", "unitary"], True),
+    (["nc-torus", "--n", "7", "--k", "3", "--nu-phase", "0.5"],
+     ["unitary_u", "unitary_v", "weyl"], None),
+    (["t2", "--R", "3", "--n", "5", "--k", "2"],
+     ["circle", "comm_xy", "comm_yz", "comm_zx", "herm_x", "herm_y",
+      "herm_z", "radius", "unitary"], True),
+])
+def test_cli_verify_document_keys_by_family(argv, residuals, irreducible,
+                                            tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    assert cli.main(["build"] + argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    for target in (argv, [str(path)]):
+        assert cli.main(["verify"] + target) == 0
+        doc = json.loads(capsys.readouterr().out)
+        keys = _VERIFY_KEYS + ([] if irreducible is None else ["irreducible"])
+        assert sorted(doc) == sorted(keys)
+        assert sorted(doc["residuals"]) == residuals
+        assert doc.get("irreducible") is irreducible
+        assert doc["excluded"] == []
+
+
+@pytest.mark.parametrize("eps", ["0.5", "1e-5"])
+@pytest.mark.parametrize("R", ["1", "-1", "1.00000001", "0.99999999",
+                               "-1.00000001", "-0.99999999",
+                               "1.000000000001", "0.999999999999"])
+def test_cli_topology_and_classify_agree_at_the_boundaries(R, eps, capsys):
+    """Both commands compare R with +-1 exactly; a torus surface is any of
+    the three torus-side regions."""
+    assert cli.main(["topology", "--R", R]) == 0
+    surface = json.loads(capsys.readouterr().out)["label"]
+    assert cli.main(["classify", "--R", R, "--eps", eps]) == 0
+    region = json.loads(capsys.readouterr().out)["label"]
+    allowed = {
+        "Null": {"Null"},
+        "Point": {"Point"},
+        "ConvexSphere": {"Sphere"},
+        "Sphere": {"Sphere"},
+        "Variety": {"Variety"},
+        "Torus": {"SphereTorus", "SphereTorusBoundary", "Torus"},
+    }
+    assert region in allowed[surface], (R, surface, region)
+
+
 def test_cli_verify_s2min_family_matches_file(tmp_path, capsys):
     path = tmp_path / "rep.json"
     rc = cli.main(["build", "s2min", "--R", "0.5", "--n", "5",

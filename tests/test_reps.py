@@ -1,20 +1,30 @@
 """Matrix representations: builders, residuals, reference models."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheretorus.algebra import AlgebraContext, ContextMismatch
-from spheretorus.classify import enumerate_s2_nonminimal, solve_minimal_s2
+from spheretorus.classify import (
+    enumerate_s2_nonminimal,
+    solve_minimal_s2,
+    t2_beta_window,
+)
+from spheretorus.emit import emit_nc_torus_json, emit_rep_json
 from spheretorus.errors import DomainError, InvalidSpec
 from spheretorus.reps import (
     Family,
+    NcTorusPair,
     ReprMatrices,
     ReprSpec,
     alpha_of_epsilon,
+    build,
     build_fuzzy_sphere,
     build_nc_torus,
     build_s2,
@@ -293,3 +303,232 @@ def test_nc_torus_reference():
         build_nc_torus(6, 2)
     with pytest.raises(InvalidSpec):
         build_nc_torus(5, 1, nu=3.0)
+
+
+# reference oracles ---------------------------------------------------------
+#
+# Loop-filled builders and the breadth-first irreducibility check, written
+# entry by entry as the scaffold reads on paper.  The package builds the
+# same matrices through one band constructor; these pin it.  Values are
+# compared with np.array_equal, not bit by bit: a conj().T leaves -0.0
+# imaginary parts on one ladder or the other, and both zeros print as 0.
+
+
+def _ref_c2(spec, ms):
+    return [c_squared(spec.beta_prime + m * spec.alpha, spec.R, spec.alpha)
+            for m in ms]
+
+
+def _ref_u(spec, ms):
+    angles = [spec.beta + m * spec.alpha for m in ms]
+    return np.diag(np.exp(1j * np.asarray(angles, dtype=float)))
+
+
+def _ref_s2(spec):
+    n = spec.n
+    c2 = _ref_c2(spec, range(n + 1))
+    ap = np.zeros((n, n), dtype=complex)
+    for m in range(1, n):
+        ap[m, m - 1] = math.sqrt(c2[m])
+    return ReprMatrices(spec, _ref_u(spec, range(n)), ap, ap.conj().T)
+
+
+def _ref_t2(spec):
+    n = spec.n
+    c2 = _ref_c2(spec, range(n))
+    am = np.zeros((n, n), dtype=complex)
+    for m in range(1, n):
+        am[m - 1, m] = math.sqrt(c2[m])
+    am[n - 1, 0] = spec.nu * math.sqrt(c2[0])
+    return ReprMatrices(spec, _ref_u(spec, range(n)), am.conj().T, am)
+
+
+def _ref_window(spec):
+    ms = range(-spec.M, spec.M + 1)
+    c2 = [max(v, 0.0) for v in _ref_c2(spec, ms)]
+    am = np.zeros((spec.n, spec.n), dtype=complex)
+    for j in range(1, spec.n):
+        am[j - 1, j] = math.sqrt(c2[j])
+    return ReprMatrices(spec, _ref_u(spec, ms), am.conj().T, am)
+
+
+def _ref_fuzzy(n, spec):
+    eps = 2.0 / math.sqrt(n * n - 1.0)
+    ap = np.zeros((n, n), dtype=complex)
+    for r in range(n - 1):
+        ap[r + 1, r] = eps * math.sqrt((n - 1 - r) * (r + 1))
+    zdiag = np.array([eps * (r - 0.5 * (n - 1)) for r in range(n)])
+    u = np.diag(np.exp(1j * np.arcsin(zdiag)))
+    return ReprMatrices(spec, u, ap, ap.conj().T)
+
+
+def _ref_nc_torus(n, k, beta, nu):
+    u = np.diag(np.exp(1j * (beta + TWO_PI * np.arange(n) * k / n)))
+    v = np.zeros((n, n), dtype=complex)
+    for r in range(n - 1):
+        v[r + 1, r] = 1.0
+    v[0, n - 1] = complex(nu)
+    return u, v
+
+
+def _ref_irreducible(m, tol=1e-8):
+    diag = np.diag(m.u)
+    n = len(diag)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(diag[i] - diag[j]) <= tol:
+                return False
+    strength = np.abs(m.ap) + np.abs(m.ap).T
+    seen = {0}
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if j not in seen and strength[i, j] > 1e-12:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == n
+
+
+def _specs(family, n):
+    """Specs of this family at dimension n, where the family exists."""
+    if family == "s2min":
+        for R in (-0.5, 0.5):
+            rec = solve_minimal_s2(R, n)
+            if rec.exists:
+                yield ReprSpec(Family.S2MIN, R, n, rec.alpha, rec.beta_prime)
+    elif family == "s2nonmin":
+        live = [r for r in enumerate_s2_nonminimal(1.97, n) if r.exists]
+        for rec in live[:1]:
+            yield ReprSpec(Family.S2NONMIN, 1.97, n, rec.alpha,
+                           rec.beta_prime, k=rec.k)
+    elif family == "t2":
+        nu = cmath.exp(0.7j)
+        for k in (1, 2, 3):
+            if k < n / 2 and math.gcd(n, k) == 1:
+                win = t2_beta_window(3.0, n, k)
+                if win.kind != "none":
+                    bp = math.pi if win.kind == "full" else 0.5 * (win.lo + win.hi)
+                    yield ReprSpec(Family.T2, 3.0, n, 0.0, bp, k=k, nu=nu)
+    elif family == "t2window" and n % 2:
+        yield ReprSpec(Family.T2WINDOW, 1.0 / math.cos(0.45) + 0.3, n, 0.9,
+                       math.pi, M=(n - 1) // 2)
+
+
+_REFS = {"s2min": _ref_s2, "s2nonmin": _ref_s2, "t2": _ref_t2,
+         "t2window": _ref_window}
+
+
+def _assert_matches_reference(m, ref):
+    for name in ("u", "ap", "am"):
+        assert np.array_equal(getattr(m, name), getattr(ref, name)), name
+    assert emit_rep_json(m) == emit_rep_json(ref)
+    assert verify_relations(m) == verify_relations(ref)
+    assert check_irreducible(m) == _ref_irreducible(ref)
+
+
+@pytest.mark.parametrize("family", sorted(_REFS))
+def test_spec_builders_match_loop_filled_reference(family):
+    built = 0
+    for n in range(2, 65):
+        for spec in _specs(family, n):
+            m = build(spec)
+            _assert_matches_reference(m, _REFS[family](spec))
+            built += 1
+    assert built >= 20, built
+
+
+def test_fuzzy_sphere_matches_loop_filled_reference():
+    for n in range(2, 65):
+        m = build_fuzzy_sphere(n)
+        _assert_matches_reference(m, _ref_fuzzy(n, m.spec))
+
+
+def test_nc_torus_matches_loop_filled_reference():
+    for n in range(2, 65):
+        for k in (1, 2, 3):
+            if math.gcd(n, k) != 1:
+                continue
+            for beta, nu in ((0.0, 1.0), (0.4, cmath.exp(1.2j))):
+                u, v = build_nc_torus(n, k, beta=beta, nu=nu)
+                ref_u, ref_v = _ref_nc_torus(n, k, beta, nu)
+                assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+                pair = NcTorusPair(n, k, beta, complex(nu), u, v)
+                assert emit_rep_json(pair) == emit_nc_torus_json(
+                    ref_u, ref_v, n, k, beta, nu)
+                assert verify_relations(pair).residuals == nc_torus_residuals(
+                    ref_u, ref_v, n, k)
+
+
+def test_build_rejects_reference_model_specs():
+    with pytest.raises(InvalidSpec):
+        build(build_fuzzy_sphere(3).spec)
+
+
+_GAPS = (0.5, 0.999, 1.001, 2.0)  # eigenvalue gaps in units of tol
+_WEIGHTS = (1.0, 0.3, 0.5j, 2e-12, 6e-13, 5e-13, 1e-13)  # around 1e-12
+
+
+@st.composite
+def _ladders(draw):
+    """A chain cut into blocks, extra entries anywhere, and eigenvalue
+    pairs at gaps just below and just above the tolerance."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    index = st.integers(min_value=0, max_value=n - 1)
+    angles = draw(st.lists(st.floats(0.0, TWO_PI), min_size=n, max_size=n))
+    diag = np.exp(1j * np.array(angles))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i, j = draw(index), draw(index)
+        if i != j:
+            gap = draw(st.sampled_from(_GAPS)) * 1e-8
+            diag[j] = diag[i] + gap * cmath.exp(1j * draw(st.floats(0.0, TWO_PI)))
+    ap = np.zeros((n, n), dtype=complex)
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=max(1, n - 1))))
+    for r in range(n - 1):
+        if r + 1 not in cuts:
+            ap[r + 1, r] = draw(st.sampled_from(_WEIGHTS))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        ap[draw(index), draw(index)] = draw(st.sampled_from(_WEIGHTS))
+    spec = ReprSpec(Family.S2MIN, 0.0, n, 1.0, 0.0)
+    return ReprMatrices(spec, np.diag(diag), ap, ap.conj().T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ladders())
+def test_irreducibility_matches_reference_search(m):
+    assert check_irreducible(m) == _ref_irreducible(m)
+
+
+def test_irreducibility_block_diagonal_and_gap_edges():
+    m = build_s2(_minimal(0.5, 9))
+    ap = m.ap.copy()
+    ap[5, 4] = 0.0  # two blocks
+    cut = ReprMatrices(m.spec, m.u, ap, ap.conj().T)
+    assert not check_irreducible(cut) and not _ref_irreducible(cut)
+    ap[0, 8] = 1e-3  # an off-band entry joins them again
+    joined = ReprMatrices(m.spec, m.u, ap, ap.conj().T)
+    assert check_irreducible(joined) and _ref_irreducible(joined)
+    for gap, want in ((0.99e-8, False), (1.01e-8, True)):
+        u = m.u.copy()
+        u[3, 3] = u[7, 7] + gap
+        near = ReprMatrices(m.spec, u, m.ap, m.am)
+        assert check_irreducible(near) is want
+        assert _ref_irreducible(near) is want
+
+
+# one residual entry point ----------------------------------------------------
+
+
+def test_verify_relations_picks_the_relation_table():
+    fuzzy = verify_relations(build_fuzzy_sphere(5))
+    assert sorted(fuzzy.residuals) == ["casimir", "comm_xy", "comm_yz",
+                                       "comm_zx", "unitary"]
+    assert fuzzy.residuals == fuzzy_sphere_residuals(build_fuzzy_sphere(5))
+    assert fuzzy.excluded == ()
+    u, v = build_nc_torus(7, 3, beta=0.4)
+    pair = verify_relations(NcTorusPair(7, 3, 0.4, 1.0 + 0.0j, u, v))
+    assert sorted(pair.residuals) == ["unitary_u", "unitary_v", "weyl"]
+    assert pair.residuals == nc_torus_residuals(u, v, 7, 3)
+    assert pair.excluded == ()
+    chain = verify_relations(build_s2(_minimal(0.5, 5)))
+    assert "radius" in chain.residuals and "casimir" not in chain.residuals
