@@ -3,7 +3,9 @@
 Subcommands: topology, slice, solve-min-s2, enum-s2, t2-window, classify,
 build, verify, reduce, poisson, sweep, diagram.  Exit codes: 0 on success,
 1 on domain errors (including non-existence), 2 on usage or expression
-parse errors.  Errors go to standard error, as JSON unless --format text.
+parse errors.  Errors go to standard error, as JSON unless --format text;
+usage errors always as JSON.  Sizes are capped (MAX_DIM, MAX_GRID,
+MAX_SWEEP) before anything is built.
 The only environment variable honored is NO_COLOR (suppresses ANSI codes
 in text output; JSON/CSV/SVG are never colored).
 """
@@ -52,6 +54,10 @@ from .reps import (
 )
 
 TWO_PI = 2.0 * math.pi
+# size caps; three dense complex n x n matrices at MAX_DIM take about 805 MB
+MAX_DIM = 4096
+MAX_GRID = 65536
+MAX_SWEEP = 1024
 
 _REP_FAMILIES = ("s2min", "s2nonmin", "t2", "t2window")
 _BUILD_FAMILIES = _REP_FAMILIES + ("fuzzy-sphere", "nc-torus")
@@ -371,7 +377,8 @@ def _parse_R_range(args) -> List[float]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         else:
             raise ValueError
-        if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+        if not (1 <= count <= MAX_SWEEP and math.isfinite(lo)
+                and math.isfinite(hi)):
             raise ValueError
         if count == 1:
             return [lo]
@@ -379,7 +386,8 @@ def _parse_R_range(args) -> List[float]:
         return [lo + i * step for i in range(count)]
     except ValueError:
         pass
-    args._parser.error(f"--R must be a number or lo:hi:count, got {text!r}")
+    args._parser.error(f"--R must be a number or lo:hi:count with "
+                       f"1 <= count <= {MAX_SWEEP}, got {text!r}")
 
 
 def _cmd_sweep(args) -> int:
@@ -422,6 +430,37 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _bounded_int(lo: int, hi: int):
+    """argparse type of an integer size option: values outside [lo, hi] are
+    usage errors, caught before anything is allocated."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r:.40}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"must lie in [{lo}, {hi}], got {value}")
+        return value
+
+    return parse
+
+
+_dim = _bounded_int(1, MAX_DIM)
+_grid = _bounded_int(1, MAX_GRID)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors go to stderr as a JSON error record, exit code 2."""
+
+    def error(self, message):
+        sys.stderr.write(render_json_compact(
+            {"error": f"{self.prog}: {message}"}) + "\n")
+        raise SystemExit(2)
+
+
 def _add_common(sp, *, R=False, R_exact=False, n=False, k=False, alpha=False,
                 beta_prime=False, nu_phase=False, eps=False, tol=None,
                 grid=None, out=False, formats=None, default_format="json"):
@@ -432,7 +471,7 @@ def _add_common(sp, *, R=False, R_exact=False, n=False, k=False, alpha=False,
         sp.add_argument("--R", type=Fraction, required=True,
                         help="surface parameter R, exact (e.g. 5/8 or 0.625)")
     if n:
-        sp.add_argument("--n", type=int, help="matrix dimension")
+        sp.add_argument("--n", type=_dim, help="matrix dimension")
     if k:
         sp.add_argument("--k", type=int, help="winding integer k")
     if alpha:
@@ -450,7 +489,7 @@ def _add_common(sp, *, R=False, R_exact=False, n=False, k=False, alpha=False,
         sp.add_argument("--tol", type=_finite_float, default=tol,
                         help=f"numeric tolerance (default {tol})")
     if grid is not None:
-        sp.add_argument("--grid", type=int, default=grid,
+        sp.add_argument("--grid", type=_grid, default=grid,
                         help=f"grid/sample count (default {grid})")
     if out:
         sp.add_argument("--out", help="write output to this file")
@@ -460,7 +499,7 @@ def _add_common(sp, *, R=False, R_exact=False, n=False, k=False, alpha=False,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spheretorus",
         description="Deformed sphere-torus algebra: exact normal forms, "
                     "matrix representations, parameter classification, and "
@@ -485,18 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = new("solve-min-s2", _cmd_solve_min_s2,
              "solve the minimal sphere chain angle at (R, n)")
     _add_common(sp, R=True, tol=1e-12, formats=("json", "text"))
-    sp.add_argument("--n", type=int, required=True, help="chain length")
+    sp.add_argument("--n", type=_dim, required=True, help="chain length")
 
     sp = new("enum-s2", _cmd_enum_s2,
              "enumerate non-minimal sphere chain candidates at (R, n)")
     _add_common(sp, R=True, tol=1e-12, grid=4096, out=True,
                 formats=("json", "csv", "text"))
-    sp.add_argument("--n", type=int, required=True, help="chain length")
+    sp.add_argument("--n", type=_dim, required=True, help="chain length")
 
     sp = new("t2-window", _cmd_t2_window,
              "admissible beta' window for the finite torus at (R, n, k)")
     _add_common(sp, R=True, formats=("json", "text"))
-    sp.add_argument("--n", type=int, required=True, help="cycle length")
+    sp.add_argument("--n", type=_dim, required=True, help="cycle length")
     sp.add_argument("--k", type=int, required=True, help="winding integer")
 
     sp = new("classify", _cmd_classify,
@@ -536,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
              "solve every family over a range of R and tabulate rows")
     _add_common(sp, grid=4096, out=True, formats=("csv", "json"),
                 default_format="csv")
-    sp.add_argument("--n", type=int, required=True, help="dimension")
+    sp.add_argument("--n", type=_dim, required=True, help="dimension")
     sp.add_argument("--R", required=True,
                     help="single value or lo:hi:count range")
 

@@ -18,7 +18,9 @@ eigen-angles, its coupling vector and an optional wrap corner; the builders
 only check existence and compute the couplings.  ``build(spec)`` picks the
 builder of a spec's family, and ``verify_relations`` picks the relation
 table: the deformed relations, the fuzzy sphere's su(2) relations, or the
-Weyl relation of an ``NcTorusPair``.
+Weyl relation of an ``NcTorusPair``.  Residuals and ``rep_evaluate`` read
+the dense matrices into their nonzero diagonals (``_Diags``) and multiply
+those, in O(n * diagonals) rather than O(n^3).
 """
 
 from __future__ import annotations
@@ -98,6 +100,10 @@ class ReprSpec:
 
     def __post_init__(self):
         set_ = object.__setattr__
+        try:
+            set_(self, "family", Family(self.family))
+        except ValueError:
+            raise InvalidSpec(f"unknown family {self.family!r}") from None
         if self.family == Family.T2 and self.k is not None:
             set_(self, "alpha", TWO_PI * self.k / self.n)
         if self.family == Family.T2WINDOW and self.M is not None:
@@ -285,8 +291,124 @@ def split_xyzw(m: ReprMatrices):
     return x, y, z, w
 
 
-def _fro(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat))
+# diagonal-offset kernel ------------------------------------------------------
+
+
+def _shift(d: np.ndarray, a: int) -> np.ndarray:
+    """e[i] = d[i + a], zero where i + a falls outside."""
+    if a == 0:
+        return d
+    e = np.zeros(d.shape, d.dtype)
+    if a > 0:
+        e[:-a] = d[a:]
+    else:
+        e[-a:] = d[:a]
+    return e
+
+
+class _Diags:
+    """A square matrix held by its diagonals.
+
+    ``d[a][i] = M[i, i+a]``, zero where i+a falls outside the matrix; a
+    missing offset is a zero diagonal, and ``of`` keeps only the diagonals
+    that hold a nonzero entry.  Every family is a diagonal u plus a ladder
+    with one off-diagonal and at most one wrap corner, so products stay
+    within a few diagonals and cost O(n * diagonals) instead of a dense
+    O(n^3).  The format is exact for any matrix: entries off the band of a
+    hand-edited file are diagonals like any other.  No array is written
+    after the operation that made it, so results share arrays freely.
+    """
+
+    __slots__ = ("n", "d")
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __init__(self, n: int, d: Dict[int, np.ndarray]):
+        self.n = n
+        self.d = d
+
+    @classmethod
+    def of(cls, mat: np.ndarray) -> "_Diags":
+        """The diagonals of a dense matrix that hold a nonzero entry."""
+        n = mat.shape[0]
+        rows, cols = np.divmod(np.flatnonzero(mat != 0), n)
+        d = {}
+        for a in sorted(set((cols - rows).tolist())):
+            v = np.zeros(n, dtype=complex)
+            v[max(0, -a):min(n, n - a)] = np.diagonal(mat, a)
+            d[a] = v
+        return cls(n, d)
+
+    @classmethod
+    def eye(cls, n: int) -> "_Diags":
+        return cls(n, {0: np.ones(n, dtype=complex)})
+
+    def __add__(self, other: "_Diags") -> "_Diags":
+        d = dict(self.d)
+        for a, v in other.d.items():
+            d[a] = d[a] + v if a in d else v
+        return _Diags(self.n, d)
+
+    def __sub__(self, other: "_Diags") -> "_Diags":
+        d = dict(self.d)
+        for a, v in other.d.items():
+            d[a] = d[a] - v if a in d else -v
+        return _Diags(self.n, d)
+
+    def __rmul__(self, c: complex) -> "_Diags":
+        return _Diags(self.n, {a: c * v for a, v in self.d.items()})
+
+    def __matmul__(self, other: "_Diags") -> "_Diags":
+        # (AB)[i, i+a+b] += A[i, i+a] * B[i+a, i+a+b]; diagonals at
+        # |a+b| >= n lie wholly outside the matrix, so their sum vanishes
+        n = self.n
+        d: Dict[int, np.ndarray] = {}
+        for a, u in self.d.items():
+            rows = slice(0, n - a) if a >= 0 else slice(-a, n)
+            cols = slice(a, n) if a >= 0 else slice(0, n + a)
+            for b, v in other.d.items():
+                c = a + b
+                if abs(c) >= n:
+                    continue
+                if a == 0:
+                    p = u * v
+                else:
+                    p = np.zeros(n, dtype=complex)
+                    np.multiply(u[rows], v[cols], out=p[rows])
+                if c in d:
+                    d[c] += p
+                else:
+                    d[c] = p
+        return _Diags(n, d)
+
+    @property
+    def H(self) -> "_Diags":
+        """The conjugate transpose: M^dagger[i, i-a] = conj(M[i-a, i])."""
+        return _Diags(self.n, {-a: np.conj(_shift(v, -a))
+                               for a, v in self.d.items()})
+
+    def norm(self, keep: Optional[np.ndarray] = None) -> float:
+        """Frobenius norm over the entries whose row and column are kept."""
+        total = 0.0
+        for a, v in self.d.items():
+            if keep is not None:
+                v = v[keep & _shift(keep, a)]
+            total += float(np.vdot(v, v).real)
+        return math.sqrt(total)
+
+    def dense(self) -> np.ndarray:
+        mat = np.zeros((self.n, self.n), dtype=complex)
+        for a, v in self.d.items():
+            rows = np.arange(max(0, -a), min(self.n, self.n - a))
+            mat[rows, rows + a] = v[rows]
+        return mat
+
+
+def _coords(m: ReprMatrices):
+    """u and the Hermitian coordinates x, y, z, w as diagonals."""
+    u, ap, am = _Diags.of(m.u), _Diags.of(m.ap), _Diags.of(m.am)
+    ud = u.H
+    return (u, 0.5 * (ap + am), -0.5j * (ap - am), -0.5j * (u - ud),
+            0.5 * (u + ud))
 
 
 def verify_relations(m: Union[ReprMatrices, NcTorusPair]) -> ResidualReport:
@@ -302,28 +424,28 @@ def verify_relations(m: Union[ReprMatrices, NcTorusPair]) -> ResidualReport:
         return ResidualReport(nc_torus_residuals(m.u, m.v, m.n, m.k))
     if m.spec.family == Family.FUZZY_SPHERE:
         return ResidualReport(fuzzy_sphere_residuals(m))
-    x, y, z, w = split_xyzw(m)
+    u, x, y, z, w = _coords(m)
     eps, R = m.spec.eps, m.spec.R
-    eye = np.eye(m.u.shape[0])
+    eye = _Diags.eye(u.n)
     deltas = {
         "comm_xy": (x @ y - y @ x) - 1j * eps * z,
         "comm_yz": (y @ z - z @ y) - 1j * eps * (w @ x + x @ w),
         "comm_zx": (z @ x - x @ z) - 1j * eps * (w @ y + y @ w),
         "circle": z @ z + w @ w - eye,
         "radius": x @ x + y @ y - R * eye - w,
-        "unitary": m.u @ m.u.conj().T - eye,
-        "herm_x": x - x.conj().T,
-        "herm_y": y - y.conj().T,
-        "herm_z": z - z.conj().T,
+        "unitary": u @ u.H - eye,
+        "herm_x": x - x.H,
+        "herm_y": y - y.H,
+        "herm_z": z - z.H,
     }
     excluded: Tuple[int, ...] = ()
+    keep = None
     if m.spec.family == Family.T2WINDOW:
-        last = m.u.shape[0] - 1
-        excluded = (0, last)
-        for mat in deltas.values():
-            mat[[0, last], :] = 0.0
-            mat[:, [0, last]] = 0.0
-    return ResidualReport({k: _fro(v) for k, v in deltas.items()}, excluded)
+        excluded = (0, u.n - 1)
+        keep = np.ones(u.n, dtype=bool)
+        keep[list(excluded)] = False
+    return ResidualReport({k: v.norm(keep) for k, v in deltas.items()},
+                          excluded)
 
 
 def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
@@ -333,19 +455,20 @@ def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
             f"form has R={float(f.ctx.R)!r}, representation has R={m.spec.R!r}"
         )
     vals = f.eval_numeric(m.spec.eps)
-    dim = m.u.shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
+    u, ap, am = _Diags.of(m.u), _Diags.of(m.ap), _Diags.of(m.am)
+    # u^s of an invertible diagonal u is an elementwise power; only a
+    # hand-edited u off the diagonal (or a singular one) takes matrix_power
+    elementwise = u.d.keys() == {0} and u.d[0].all()
+    acc = _Diags(u.n, {})
     for (r, s), val in vals.items():
-        if r > 0:
-            mat = np.linalg.matrix_power(m.ap, r)
-        elif r < 0:
-            mat = np.linalg.matrix_power(m.am, -r)
-        else:
-            mat = np.eye(dim, dtype=complex)
+        mat = _Diags.eye(u.n)
+        for _ in range(abs(r)):
+            mat = mat @ (ap if r > 0 else am)
         if s:
-            mat = mat @ np.linalg.matrix_power(m.u, s)
-        acc += val * mat
-    return acc
+            mat = mat @ (_Diags(u.n, {0: u.d[0] ** s}) if elementwise
+                         else _Diags.of(np.linalg.matrix_power(m.u, s)))
+        acc = acc + val * mat
+    return acc.dense()
 
 
 def check_irreducible(m: ReprMatrices, tol: float = 1e-8) -> bool:
@@ -411,15 +534,15 @@ def build_fuzzy_sphere(n: int) -> ReprMatrices:
 
 def fuzzy_sphere_residuals(m: ReprMatrices) -> Dict[str, float]:
     """Cyclic su(2)-type residuals and the unit Casimir."""
-    x, y, z, _ = split_xyzw(m)
+    u, x, y, z, _ = _coords(m)
     eps = m.spec.eps
-    eye = np.eye(m.u.shape[0])
+    eye = _Diags.eye(u.n)
     return {
-        "comm_xy": _fro((x @ y - y @ x) - 1j * eps * z),
-        "comm_yz": _fro((y @ z - z @ y) - 1j * eps * x),
-        "comm_zx": _fro((z @ x - x @ z) - 1j * eps * y),
-        "casimir": _fro(x @ x + y @ y + z @ z - eye),
-        "unitary": _fro(m.u @ m.u.conj().T - eye),
+        "comm_xy": ((x @ y - y @ x) - 1j * eps * z).norm(),
+        "comm_yz": ((y @ z - z @ y) - 1j * eps * x).norm(),
+        "comm_zx": ((z @ x - x @ z) - 1j * eps * y).norm(),
+        "casimir": (x @ x + y @ y + z @ z - eye).norm(),
+        "unitary": (u @ u.H - eye).norm(),
     }
 
 
@@ -447,9 +570,10 @@ def nc_torus_residuals(
     u: np.ndarray, v: np.ndarray, n: int, k: int
 ) -> Dict[str, float]:
     q = np.exp(2j * math.pi * k / n)
-    eye = np.eye(n)
+    u, v = _Diags.of(u), _Diags.of(v)
+    eye = _Diags.eye(n)
     return {
-        "weyl": _fro(u @ v - q * v @ u),
-        "unitary_u": _fro(u @ u.conj().T - eye),
-        "unitary_v": _fro(v @ v.conj().T - eye),
+        "weyl": (u @ v - q * v @ u).norm(),
+        "unitary_u": (u @ u.H - eye).norm(),
+        "unitary_v": (v @ v.H - eye).norm(),
     }

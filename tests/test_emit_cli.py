@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -245,6 +246,76 @@ def test_cli_usage_error_exits_2(capsys):
     assert cli.main(["sweep", "--n", "5", "--R", "nan"]) == 2
     assert cli.main(["sweep", "--n", "5", "--R", "0:inf:3"]) == 2
     capsys.readouterr()
+
+
+def _usage_error(argv, capsys):
+    """The JSON error record of a usage error; nothing on stdout."""
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    assert rc == 2, argv
+    assert out.out == ""
+    assert "Traceback" not in out.err
+    return json.loads(out.err)["error"]
+
+
+def test_cli_usage_errors_are_json_records(capsys):
+    assert "required: --n" in _usage_error(["solve-min-s2", "--R", "0.5"],
+                                           capsys)
+    assert "invalid choice" in _usage_error(["no-such-command"], capsys)
+    assert "build needs --n" in _usage_error(["build", "s2min", "--R", "0.5"],
+                                             capsys)
+    assert "invalid int value" in _usage_error(
+        ["t2-window", "--R", "2", "--n", "1e3", "--k", "1"], capsys)
+
+
+# Caps are checked before anything is built, so none of these allocates;
+# n = 10^6 would ask np.diag for 16 TB.
+@pytest.mark.parametrize("argv", [
+    ["build", "t2", "--R", "3", "--k", "1", "--n", "{}"],
+    ["build", "nc-torus", "--k", "1", "--n", "{}"],
+    ["verify", "fuzzy-sphere", "--n", "{}"],
+    ["diagram", "s2min", "--R", "0.5", "--n", "{}"],
+    ["solve-min-s2", "--R", "0.5", "--n", "{}"],
+    ["enum-s2", "--R", "1.5", "--n", "{}"],
+    ["t2-window", "--R", "2", "--k", "1", "--n", "{}"],
+    ["sweep", "--R", "1", "--n", "{}"],
+])
+@pytest.mark.parametrize("n", ["0", "-3", "4097", "1000000"])
+def test_cli_caps_dimension(argv, n, capsys):
+    assert cli.MAX_DIM == 4096
+    error = _usage_error([arg.format(n) for arg in argv], capsys)
+    assert f"argument --n: must lie in [1, 4096], got {int(n)}" in error
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--R", "2", "--grid", "{}"],
+    ["enum-s2", "--R", "1.5", "--n", "5", "--grid", "{}"],
+    ["sweep", "--R", "1", "--n", "5", "--grid", "{}"],
+])
+@pytest.mark.parametrize("grid", ["0", "65537", str(10 ** 12)])
+def test_cli_caps_grid(argv, grid, capsys):
+    # grid 0 used to end enum-s2 in a ZeroDivisionError traceback
+    error = _usage_error([arg.format(grid) for arg in argv], capsys)
+    assert f"argument --grid: must lie in [1, 65536], got {grid}" in error
+
+
+@pytest.mark.parametrize("count", ["0", "1025", str(10 ** 12)])
+def test_cli_caps_sweep_count(count, capsys):
+    error = _usage_error(["sweep", "--n", "5", f"--R=0.5:2:{count}"], capsys)
+    assert "1 <= count <= 1024" in error
+
+
+def test_readme_python_quick_start_emits():
+    """The README's Python block runs, and its string family emits."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    m = scope["m"]
+    assert m.spec.family is Family.S2MIN
+    assert json.loads(emit_rep_json(m))["family"] == "s2min"
+    assert max(scope["verify_relations"](m).residuals.values()) < 1e-12
 
 
 def test_cli_solve_nonexistence_exits_1(capsys):

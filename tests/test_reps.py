@@ -1,6 +1,7 @@
 """Matrix representations: builders, residuals, reference models."""
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,8 +17,9 @@ from spheretorus.classify import (
     solve_minimal_s2,
     t2_beta_window,
 )
-from spheretorus.emit import emit_nc_torus_json, emit_rep_json
+from spheretorus.emit import emit_nc_torus_json, emit_rep_json, load_rep_json
 from spheretorus.errors import DomainError, InvalidSpec
+from spheretorus.parser import parse_expr
 from spheretorus.reps import (
     Family,
     NcTorusPair,
@@ -275,6 +277,10 @@ def test_spec_normalization():
         ReprSpec(Family.S2MIN, 0.0, 3, 1.0, 0.0, nu=2.0)
     with pytest.raises(InvalidSpec):
         ReprSpec(Family.S2MIN, 0.0, 0, 1.0, 0.0)
+    # a family given by its name is coerced; an unknown name is rejected
+    assert ReprSpec("t2window", 2.0, 9, 0.9, math.pi).family is Family.T2WINDOW
+    with pytest.raises(InvalidSpec, match="unknown family 'bogus'"):
+        ReprSpec("bogus", 0.0, 3, 1.0, 0.0)
 
 
 def test_fuzzy_sphere_reference():
@@ -532,3 +538,226 @@ def test_verify_relations_picks_the_relation_table():
     assert pair.excluded == ()
     chain = verify_relations(build_s2(_minimal(0.5, 5)))
     assert "radius" in chain.residuals and "casimir" not in chain.residuals
+
+
+# dense oracles ---------------------------------------------------------------
+#
+# The residuals and the evaluation as dense matrix algebra, one full n x n
+# product per term.  The package computes them on the nonzero diagonals
+# only; these pin that kernel, off-band entries included.
+
+
+def _ref_xyzw(u, ap, am):
+    ud = u.conj().T
+    return 0.5 * (ap + am), (ap - am) / 2j, (u - ud) / 2j, 0.5 * (u + ud)
+
+
+def _fro(mat):
+    return float(np.linalg.norm(mat))
+
+
+def _ref_deformed_residuals(m):
+    x, y, z, w = _ref_xyzw(m.u, m.ap, m.am)
+    eps, R = m.spec.eps, m.spec.R
+    eye = np.eye(m.u.shape[0])
+    deltas = {
+        "comm_xy": (x @ y - y @ x) - 1j * eps * z,
+        "comm_yz": (y @ z - z @ y) - 1j * eps * (w @ x + x @ w),
+        "comm_zx": (z @ x - x @ z) - 1j * eps * (w @ y + y @ w),
+        "circle": z @ z + w @ w - eye,
+        "radius": x @ x + y @ y - R * eye - w,
+        "unitary": m.u @ m.u.conj().T - eye,
+        "herm_x": x - x.conj().T,
+        "herm_y": y - y.conj().T,
+        "herm_z": z - z.conj().T,
+    }
+    excluded = ()
+    if m.spec.family == Family.T2WINDOW:
+        last = m.u.shape[0] - 1
+        excluded = (0, last)
+        for mat in deltas.values():
+            mat[[0, last], :] = 0.0
+            mat[:, [0, last]] = 0.0
+    return {k: _fro(v) for k, v in deltas.items()}, excluded
+
+
+def _ref_fuzzy_residuals(m):
+    x, y, z, _ = _ref_xyzw(m.u, m.ap, m.am)
+    eps = m.spec.eps
+    eye = np.eye(m.u.shape[0])
+    return {
+        "comm_xy": _fro((x @ y - y @ x) - 1j * eps * z),
+        "comm_yz": _fro((y @ z - z @ y) - 1j * eps * x),
+        "comm_zx": _fro((z @ x - x @ z) - 1j * eps * y),
+        "casimir": _fro(x @ x + y @ y + z @ z - eye),
+        "unitary": _fro(m.u @ m.u.conj().T - eye),
+    }
+
+
+def _ref_nc_torus_residuals(u, v, n, k):
+    q = np.exp(2j * math.pi * k / n)
+    eye = np.eye(n)
+    return {
+        "weyl": _fro(u @ v - q * v @ u),
+        "unitary_u": _fro(u @ u.conj().T - eye),
+        "unitary_v": _fro(v @ v.conj().T - eye),
+    }
+
+
+def _ref_residuals(m):
+    if isinstance(m, NcTorusPair):
+        return _ref_nc_torus_residuals(m.u, m.v, m.n, m.k), ()
+    if m.spec.family == Family.FUZZY_SPHERE:
+        return _ref_fuzzy_residuals(m), ()
+    return _ref_deformed_residuals(m)
+
+
+def _ref_evaluate(f, m):
+    dim = m.u.shape[0]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for (r, s), val in f.eval_numeric(m.spec.eps).items():
+        if r > 0:
+            mat = np.linalg.matrix_power(m.ap, r)
+        elif r < 0:
+            mat = np.linalg.matrix_power(m.am, -r)
+        else:
+            mat = np.eye(dim, dtype=complex)
+        if s:
+            mat = mat @ np.linalg.matrix_power(m.u, s)
+        acc += val * mat
+    return acc
+
+
+def _assert_residuals_match(m, rel=0.0):
+    """Kernel and dense residuals agree to 1e-12 (scaled by 1 + the dense
+    value when rel is set), with the same keys and exclusions."""
+    want, excluded = _ref_residuals(m)
+    report = verify_relations(m)
+    assert report.excluded == excluded
+    assert sorted(report.residuals) == sorted(want)
+    for key, value in want.items():
+        assert abs(report.residuals[key] - value) <= 1e-12 * (
+            1.0 + rel * value), (key, report.residuals[key], value)
+
+
+_ORACLE_SIZES = (2, 3, 4, 5, 7, 16, 33, 64, 127, 128, 255, 256)
+
+
+@pytest.mark.parametrize("family", sorted(_REFS))
+def test_spec_residuals_match_dense_oracle(family):
+    built = 0
+    for n in _ORACLE_SIZES:
+        for spec in _specs(family, n):
+            _assert_residuals_match(build(spec))
+            built += 1
+    assert built >= 5, built
+
+
+def test_reference_model_residuals_match_dense_oracle():
+    for n in _ORACLE_SIZES:
+        m = build_fuzzy_sphere(n)
+        _assert_residuals_match(m)
+        assert fuzzy_sphere_residuals(m) == verify_relations(m).residuals
+        nu = cmath.exp(0.9j)
+        for k in (1, 2, 3):
+            if math.gcd(n, k) == 1:
+                u, v = build_nc_torus(n, k, beta=0.3, nu=nu)
+                _assert_residuals_match(NcTorusPair(n, k, 0.3, nu, u, v))
+
+
+def _edited_documents():
+    """A chain and a clock/shift pair edited off the band and loaded."""
+    m = build_s2(_minimal(0.5, 4))
+    doc = json.loads(emit_rep_json(m))
+    doc["matrices"]["u"][0][3] = [0.25, -0.5]
+    doc["matrices"]["ap"][3][0] = [1e-300, -0.0]
+    doc["matrices"]["am"][1][1] = [-0.0, 2.5e-17]
+    yield load_rep_json(json.dumps(doc))
+    u, v = build_nc_torus(3, 1, beta=0.1, nu=1j)
+    doc = json.loads(emit_nc_torus_json(u, v, 3, 1, 0.1, 1j))
+    doc["matrices"]["v"][2][2] = [-1.5, 5e-324]
+    yield load_rep_json(json.dumps(doc))
+
+
+def test_edited_documents_match_dense_oracle():
+    chain, pair = _edited_documents()
+    _assert_residuals_match(chain)
+    _assert_residuals_match(pair)
+    # the edits show up: the chain's u is no longer unitary, v no longer
+    # a shift
+    assert verify_relations(chain).residuals["unitary"] > 0.1
+    assert verify_relations(pair).residuals["unitary_v"] > 1.0
+
+
+_ENTRIES = (0.0, 1.0, -0.5, 0.75j, 2.0 - 1.5j, 1e-9, 5e-324)
+
+
+@st.composite
+def _edited(draw):
+    """A built representation with random entries written anywhere."""
+    family = draw(st.sampled_from(("s2min", "t2", "t2window", "fuzzy",
+                                   "nc-torus")))
+    n = draw(st.sampled_from((3, 5, 7, 9)))
+    if family == "nc-torus":
+        u, v = build_nc_torus(n, 2, beta=0.2)
+        mats = {"u": u.copy(), "v": v.copy()}
+    else:
+        if family == "fuzzy":
+            m = build_fuzzy_sphere(n)
+        else:
+            m = build(next(_specs(family, n)))
+        mats = {"u": m.u.copy(), "ap": m.ap.copy(), "am": m.am.copy()}
+    index = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        name = draw(st.sampled_from(sorted(mats)))
+        mats[name][draw(index), draw(index)] = draw(st.sampled_from(_ENTRIES))
+    if family == "nc-torus":
+        return NcTorusPair(n, 2, 0.2, 1.0 + 0.0j, mats["u"], mats["v"])
+    return ReprMatrices(m.spec, mats["u"], mats["ap"], mats["am"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited())
+def test_residuals_with_off_band_entries_match_dense_oracle(m):
+    _assert_residuals_match(m, rel=1.0)
+
+
+def _assert_evaluates_like_oracle(text, m, ctx):
+    f = parse_expr(text, ctx)
+    got, want = rep_evaluate(f, m), _ref_evaluate(f, m)
+    scale = np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-12 * scale, (text, scale)
+
+
+def test_evaluate_matches_dense_oracle_past_the_wrap_corner():
+    for n, k in ((5, 2), (7, 3), (16, 5)):
+        m = build_t2_finite(ReprSpec(Family.T2, 5.0, n, 0.0, math.pi, k=k,
+                                     nu=cmath.exp(0.6j)))
+        ctx = AlgebraContext(Fraction(5))
+        for r in range(-n - 1, n + 2):
+            for s in (-3, -1, 0, 1, 2):
+                gen = "ap" if r >= 0 else "am"
+                _assert_evaluates_like_oracle(f"{gen}^{abs(r)} * u^{s}", m,
+                                              ctx)
+
+
+def test_evaluate_matches_dense_oracle_on_sums():
+    cases = [(build_s2(_minimal(0.5, 9)), Fraction(1, 2)),
+             (build(next(_specs("t2window", 11))), None),
+             (build_t2_finite(ReprSpec(Family.T2, 3.0, 7, 0.0, math.pi, k=1)),
+              Fraction(3))]
+    for m, R in cases:
+        ctx = AlgebraContext(Fraction(m.spec.R) if R is None else R)
+        for text in ("(x + z)^3", "x*y - 0.5*u^-2 + [x, z]", "ud^3 * am",
+                     "(ap + u)^2 * w - eps*z"):
+            _assert_evaluates_like_oracle(text, m, ctx)
+
+
+def test_evaluate_matches_dense_oracle_for_non_diagonal_winding():
+    m = build_t2_finite(ReprSpec(Family.T2, 4.0, 5, 0.0, math.pi, k=2))
+    u = m.u.copy()
+    u[0, 2] = 0.3 - 0.2j  # hand-edited: invertible, but off the diagonal
+    edited = ReprMatrices(m.spec, u, m.ap, m.am)
+    ctx = AlgebraContext(Fraction(4))
+    for text in ("u^-2", "ap * u^-1", "ud^2 * am^3", "x*z - w", "u^3"):
+        _assert_evaluates_like_oracle(text, edited, ctx)
