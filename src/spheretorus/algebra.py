@@ -37,6 +37,7 @@ from .epsring import (
     EpsScalar,
     NotDivisible,
     phase,
+    power,
 )
 
 Key = Tuple[int, int]
@@ -256,14 +257,7 @@ class NormalForm:
             if inv is None:
                 raise NotDivisible("negative power of a non-invertible element")
             return inv ** (-n)
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.ctx.one())
 
     def inverse_if_unit(self) -> "NormalForm | None":
         """Inverse of a single winding term with a unit scalar, else None."""

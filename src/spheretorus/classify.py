@@ -15,13 +15,9 @@ from enum import Enum
 from typing import Iterable, List, Optional
 
 from .errors import DomainError
-from .reps import Family, c_squared
+from .reps import ENDPOINT_TOL, Family, c_squared
 
 TWO_PI = 2.0 * math.pi
-
-# interior couplings within this tolerance of zero count as failures,
-# mirroring the endpoint tolerance of the sphere-chain builder
-_INTERIOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ def _inequality_reason(R: float, n: int, alpha: float, beta_prime: float) -> str
     """First interior index whose coupling is not strictly positive."""
     for m in range(1, n):
         c2 = c_squared(beta_prime + m * alpha, R, alpha)
-        if c2 <= _INTERIOR_TOL:
+        if c2 <= ENDPOINT_TOL:
             return f"inequality fails at m={m}: |C|^2 = {c2:.4g}"
     return ""
 
@@ -323,6 +319,13 @@ class SweepRow:
     exists: bool
     reject_reason: str = ""
 
+    @classmethod
+    def of_chain(cls, rec: SolutionRecord) -> "SweepRow":
+        """The row of a solved or rejected sphere chain."""
+        return cls(rec.R, rec.n, rec.family.value, rec.k, rec.alpha,
+                   rec.beta_prime, rec.beta_prime, rec.exists,
+                   rec.reject_reason)
+
 
 def sweep_regions(
     n: int, R_values: Iterable[float], grid: int = 4096
@@ -330,18 +333,8 @@ def sweep_regions(
     """Solve every family at each R; rows ordered by R, family, k, alpha."""
     rows: List[SweepRow] = []
     for R in sorted(R_values):
-        rec = solve_minimal_s2(R, n)
-        rows.append(
-            SweepRow(R, n, Family.S2MIN.value, None, rec.alpha,
-                     rec.beta_prime, rec.beta_prime, rec.exists,
-                     rec.reject_reason)
-        )
-        for cand in enumerate_s2_nonminimal(R, n, grid=grid):
-            rows.append(
-                SweepRow(R, n, Family.S2NONMIN.value, cand.k, cand.alpha,
-                         cand.beta_prime, cand.beta_prime, cand.exists,
-                         cand.reject_reason)
-            )
+        rows.append(SweepRow.of_chain(solve_minimal_s2(R, n)))
+        rows += map(SweepRow.of_chain, enumerate_s2_nonminimal(R, n, grid=grid))
         for k in range(1, (n - 1) // 2 + 1):
             if math.gcd(k, n) != 1:
                 continue

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import List, Optional
 
@@ -54,7 +55,7 @@ from .reps import (
 )
 
 TWO_PI = 2.0 * math.pi
-# size caps; three dense complex n x n matrices at MAX_DIM take about 805 MB
+# size caps; the dense matrices of a `build` document are 805 MB at MAX_DIM
 MAX_DIM = 4096
 MAX_GRID = 65536
 MAX_SWEEP = 1024
@@ -249,13 +250,7 @@ def _cmd_enum_s2(args) -> int:
     records = enumerate_s2_nonminimal(args.R, args.n, grid=args.grid,
                                       tol=args.tol)
     if args.format == "csv":
-        rows = [
-            SweepRow(rec.R, rec.n, rec.family.value, rec.k, rec.alpha,
-                     rec.beta_prime, rec.beta_prime, rec.exists,
-                     rec.reject_reason)
-            for rec in records
-        ]
-        _deliver(args, emit_sweep_csv(rows))
+        _deliver(args, emit_sweep_csv(map(SweepRow.of_chain, records)))
         return 0
     doc = {
         "R": args.R,
@@ -348,7 +343,8 @@ def _cmd_verify(args) -> int:
     lines = [f"{key} {residuals[key]:.6e}" for key in sorted(residuals)]
     lines.append(f"max {worst:.6e} tol {tol:.6e} {verdict}")
     _print_doc(args, doc, lines)
-    return 0 if ok else 1
+    return 0 if ok else _fail(args, f"max residual {worst:.6e} exceeds tol "
+                                    f"{tol:.6e}")
 
 
 def _cmd_reduce(args) -> int:
@@ -393,16 +389,7 @@ def _parse_R_range(args) -> List[float]:
 def _cmd_sweep(args) -> int:
     rows = sweep_regions(args.n, _parse_R_range(args), grid=args.grid)
     if args.format == "json":
-        doc = {"n": args.n, "rows": [
-            {
-                "R": row.R, "n": row.n, "family": row.family, "k": row.k,
-                "alpha": row.alpha, "beta_lo": row.beta_lo,
-                "beta_hi": row.beta_hi, "exists": row.exists,
-                "reject_reason": row.reject_reason,
-            }
-            for row in rows
-        ]}
-        _print_doc(args, doc, [])
+        _print_doc(args, {"n": args.n, "rows": list(map(asdict, rows))}, [])
         return 0
     _deliver(args, emit_sweep_csv(rows))
     return 0

@@ -127,7 +127,7 @@ def render_json_compact(obj) -> str:
 
 def rep_document(m: ReprMatrices, report: Optional[ResidualReport] = None) -> dict:
     """The JSON document (as a dict) for a representation; its matrices are
-    the representation's own ndarrays, not copies."""
+    dense arrays made from the representation's diagonals."""
     spec = m.spec
     residuals = (verify_relations(m) if report is None else report).residuals
     return {

@@ -164,6 +164,19 @@ def _canonical(c, d: int, m: int) -> "EpsScalar":
     return _new(tuple(c), d, m)
 
 
+def power(base, n: int, one):
+    """base^n for n >= 0 by binary powering: base is squared once per bit
+    of n below the top one, and multiplied in once per further set bit."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
+
+
 class EpsScalar:
     """An element p(eps)/(1+eps^2)^m, kept in canonical form.
 
@@ -257,14 +270,7 @@ class EpsScalar:
             if inv is None:
                 raise NotDivisible("negative power of a non-unit scalar")
             return inv ** (-n)
-        out = ES_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ES_ONE)
 
     def conjugate(self) -> "EpsScalar":
         """Adjoint action: eps is self-adjoint, coefficients conjugate."""

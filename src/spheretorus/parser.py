@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, NormalForm
-from .epsring import CR_I
+from .epsring import CR_I, NotDivisible
 
 
 class ParseError(ValueError):
@@ -296,15 +296,10 @@ def fold(ast: ExprAst, ctx: AlgebraContext) -> NormalForm:
             else:
                 value = value * right
         elif isinstance(node, Pow):
-            if node.exponent < 0:
-                inv = value.inverse_if_unit()
-                if inv is None:
-                    raise ParseError(
-                        "negative power of a non-invertible element", node.pos
-                    )
-                value = inv ** (-node.exponent)
-            else:
+            try:
                 value = value ** node.exponent
+            except NotDivisible as exc:
+                raise ParseError(str(exc), node.pos) from None
         elif isinstance(node, Neg):
             value = -value
         else:

@@ -18,9 +18,11 @@ eigen-angles, its coupling vector and an optional wrap corner; the builders
 only check existence and compute the couplings.  ``build(spec)`` picks the
 builder of a spec's family, and ``verify_relations`` picks the relation
 table: the deformed relations, the fuzzy sphere's su(2) relations, or the
-Weyl relation of an ``NcTorusPair``.  Residuals and ``rep_evaluate`` read
-the dense matrices into their nonzero diagonals (``_Diags``) and multiply
-those, in O(n * diagonals) rather than O(n^3).
+Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and
+am once, as nonzero diagonals (``_Diags``, the DIA format) that residuals,
+``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals).  Dense
+input (a v1 document, an edited matrix) is read once, off-band entries
+included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .algebra import ContextMismatch, NormalForm
 from .errors import DomainError, InvalidSpec
 
 TWO_PI = 2.0 * math.pi
+ENDPOINT_TOL = 1e-9  # sphere chains: |C|^2 ends within it of 0, stays above
+IRREDUCIBLE_TOL = 1e-8  # closer winding eigenvalues make m reducible
 
 
 class Family(str, Enum):
@@ -136,12 +140,19 @@ class ReprSpec:
         return self.beta_prime + 0.5 * self.alpha
 
 
-@dataclass(frozen=True)
 class ReprMatrices:
-    spec: ReprSpec
-    u: np.ndarray
-    ap: np.ndarray
-    am: np.ndarray
+    """A spec with its u, ap and am as ``_Diags``; any other matrix is
+    read with ``_Diags.of``."""
+
+    __slots__ = ("spec", "diags")
+
+    def __init__(self, spec: ReprSpec, u, ap, am):
+        self.spec = spec
+        self.diags = tuple(map(_Diags.of, (u, ap, am)))
+
+    u = property(lambda self: self.diags[0].dense(writeable=False))
+    ap = property(lambda self: self.diags[1].dense(writeable=False))
+    am = property(lambda self: self.diags[2].dense(writeable=False))
 
 
 class NcTorusPair(NamedTuple):
@@ -181,23 +192,25 @@ def _angles(spec: ReprSpec, lo: int, hi: int) -> np.ndarray:
 
 
 def _band(angles, couplings, corner: Optional[complex] = None):
-    """The shared scaffold as dense (u, ap, am).
+    """The shared scaffold as diagonals (u, ap, am).
 
     u = diag(e^{i*angles}); am holds the couplings on its superdiagonal,
     am[j, j+1] = couplings[j], plus the wrap corner am[n-1, 0] of a cycle;
     ap = am^dagger.
     """
-    u = np.diag(np.exp(1j * np.asarray(angles, dtype=float)))
-    am = np.diag(np.asarray(couplings, dtype=complex), 1)
+    u = np.exp(1j * np.asarray(angles, dtype=float))
+    n = len(u)
+    am = {1: np.append(np.asarray(couplings, dtype=complex), 0)}
     if corner is not None:
-        am[-1, 0] = corner
-    return u, am.conj().T, am
+        am[1 - n] = np.append(np.zeros(n - 1, dtype=complex), corner)
+    am = _Diags.trim(n, am)
+    return _Diags(n, {0: u}), _Diags.trim(n, am.H.d), am
 
 
-def build_s2(spec: ReprSpec, endpoint_tol: float = 1e-9) -> ReprMatrices:
+def build_s2(spec: ReprSpec) -> ReprMatrices:
     """An n-dimensional sphere-type chain.
 
-    The chain must start and end on zeros of |C|^2 (within endpoint_tol)
+    The chain must start and end on zeros of |C|^2 (within ENDPOINT_TOL)
     and stay strictly positive in between; violations raise InvalidSpec
     naming the first failing index m.
     """
@@ -208,12 +221,12 @@ def build_s2(spec: ReprSpec, endpoint_tol: float = 1e-9) -> ReprMatrices:
         raise InvalidSpec(f"sphere chain needs n >= 2, got {n}")
     c2 = _chain_c2(spec, range(n + 1))
     for m in (0, n):
-        if abs(c2[m]) > endpoint_tol:
+        if abs(c2[m]) > ENDPOINT_TOL:
             raise InvalidSpec(
                 f"chain endpoint not a zero at m={m}: |C|^2 = {c2[m]:.6g}"
             )
     for m in range(1, n):
-        if c2[m] <= endpoint_tol:
+        if c2[m] <= ENDPOINT_TOL:
             raise InvalidSpec(
                 f"interior inequality fails at m={m}: |C|^2 = {c2[m]:.6g}"
             )
@@ -282,15 +295,6 @@ def build(spec: ReprSpec) -> ReprMatrices:
     raise InvalidSpec(f"no spec builder for family {spec.family.value!r}")
 
 
-def split_xyzw(m: ReprMatrices):
-    """Hermitian coordinates from the ladder/winding matrices."""
-    x = 0.5 * (m.ap + m.am)
-    y = (m.ap - m.am) / 2j
-    w = 0.5 * (m.u + m.u.conj().T)
-    z = (m.u - m.u.conj().T) / 2j
-    return x, y, z, w
-
-
 # diagonal-offset kernel ------------------------------------------------------
 
 
@@ -327,8 +331,11 @@ class _Diags:
         self.d = d
 
     @classmethod
-    def of(cls, mat: np.ndarray) -> "_Diags":
-        """The diagonals of a dense matrix that hold a nonzero entry."""
+    def of(cls, mat) -> "_Diags":
+        """The diagonals of a dense matrix that hold a nonzero entry (a
+        ``_Diags`` is returned as it is)."""
+        if isinstance(mat, _Diags):
+            return mat
         n = mat.shape[0]
         rows, cols = np.divmod(np.flatnonzero(mat != 0), n)
         d = {}
@@ -337,6 +344,13 @@ class _Diags:
             v[max(0, -a):min(n, n - a)] = np.diagonal(mat, a)
             d[a] = v
         return cls(n, d)
+
+    @classmethod
+    def trim(cls, n: int, d: Dict[int, np.ndarray]) -> "_Diags":
+        """d's nonzero diagonals inside the matrix, in offset order as ``of``
+        keeps them (products sum their terms, and round, in that order)."""
+        return cls(n, {a: d[a] for a in sorted(d)
+                       if abs(a) < n and d[a].any()})
 
     @classmethod
     def eye(cls, n: int) -> "_Diags":
@@ -395,20 +409,26 @@ class _Diags:
             total += float(np.vdot(v, v).real)
         return math.sqrt(total)
 
-    def dense(self) -> np.ndarray:
+    def dense(self, writeable: bool = True) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=complex)
         for a, v in self.d.items():
             rows = np.arange(max(0, -a), min(self.n, self.n - a))
             mat[rows, rows + a] = v[rows]
+        mat.flags.writeable = writeable
         return mat
 
 
 def _coords(m: ReprMatrices):
     """u and the Hermitian coordinates x, y, z, w as diagonals."""
-    u, ap, am = _Diags.of(m.u), _Diags.of(m.ap), _Diags.of(m.am)
+    u, ap, am = m.diags
     ud = u.H
     return (u, 0.5 * (ap + am), -0.5j * (ap - am), -0.5j * (u - ud),
             0.5 * (u + ud))
+
+
+def split_xyzw(m: ReprMatrices):
+    """Hermitian coordinates x, y, z, w as dense matrices."""
+    return tuple(c.dense() for c in _coords(m)[1:])
 
 
 def verify_relations(m: Union[ReprMatrices, NcTorusPair]) -> ResidualReport:
@@ -455,7 +475,7 @@ def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
             f"form has R={float(f.ctx.R)!r}, representation has R={m.spec.R!r}"
         )
     vals = f.eval_numeric(m.spec.eps)
-    u, ap, am = _Diags.of(m.u), _Diags.of(m.ap), _Diags.of(m.am)
+    u, ap, am = m.diags
     # u^s of an invertible diagonal u is an elementwise power; only a
     # hand-edited u off the diagonal (or a singular one) takes matrix_power
     elementwise = u.d.keys() == {0} and u.d[0].all()
@@ -471,33 +491,37 @@ def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
     return acc.dense()
 
 
-def check_irreducible(m: ReprMatrices, tol: float = 1e-8) -> bool:
+def check_irreducible(m: ReprMatrices) -> bool:
     """Distinct winding eigenvalues plus a connected ladder graph.
 
-    Two eigenvalues closer than tol make m reducible; so does a ladder
-    graph (an edge wherever |ap| + |ap|^T exceeds 1e-12, on or off the
-    band) with more than one component.
+    Two eigenvalues of u's diagonal closer than IRREDUCIBLE_TOL make m
+    reducible; so does a ladder graph (an edge wherever |ap| + |ap|^T
+    exceeds 1e-12, on or off the band) with more than one component.
     """
-    diag = np.diag(m.u)
-    n = len(diag)
+    u, ap, _ = m.diags
+    n = u.n
+    diag = u.d.get(0, np.zeros(n, dtype=complex))
     # a close pair is also close in its real parts: after sorting by them,
     # compare each eigenvalue with its k-th successor while any such pair
     # still lies within tol in the real part
     d = diag[np.argsort(diag.real, kind="stable")]
     for k in range(1, n):
-        near = d.real[k:] - d.real[:-k] <= tol
+        near = d.real[k:] - d.real[:-k] <= IRREDUCIBLE_TOL
         if not near.any():
             break
-        if (np.abs(d[k:][near] - d[:-k][near]) <= tol).any():
+        if (np.abs(d[k:][near] - d[:-k][near]) <= IRREDUCIBLE_TOL).any():
             return False
-    strength = np.abs(m.ap) + np.abs(m.ap).T
-    src, dst = np.nonzero(strength > 1e-12)
+    mag = _Diags(n, {a: np.abs(v) for a, v in ap.d.items()})
+    # edges (i, i+a) on each diagonal a of |ap| + |ap|^T
+    edges = [(np.flatnonzero(v > 1e-12), a)
+             for a, v in (mag + mag.H).d.items()]
     # component labels by min-label hooking with pointer jumping; each
     # label stays a node of its own component, so all are 0 iff connected
     label = np.arange(n)
     while True:
         hooked = label.copy()
-        np.minimum.at(hooked, src, label[dst])
+        for i, a in edges:
+            np.minimum.at(hooked, i, label[i + a])
         hooked = hooked[hooked]
         if np.array_equal(hooked, label):
             return not label.any()
@@ -563,7 +587,7 @@ def build_nc_torus(
     # v is the raising half of a band with unit couplings and wrap corner nu
     u, v, _ = _band(beta + TWO_PI * np.arange(n) * k / n, np.ones(n - 1),
                     complex(nu).conjugate())
-    return u, v
+    return u.dense(), v.dense()
 
 
 def nc_torus_residuals(

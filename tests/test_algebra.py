@@ -286,3 +286,25 @@ def test_str_output():
     assert str(ctx.zero()) == "0"
     assert str(ctx.generator("u")) == "u*(1)"
     assert "ap" in str(ctx.generator("ap") * ctx.generator("u"))
+
+
+def test_power_squares_only_below_the_top_bit(monkeypatch):
+    ctx = _ctx(Fraction(1, 2))
+    f = ctx.generator("ap") + ctx.generator("u")
+    products = [ctx.one()]
+    for _ in range(16):
+        products.append(products[-1] * f)
+    calls = []
+    mul = NormalForm.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(NormalForm, "__mul__", counting)
+    for n in range(1, 17):
+        calls.clear()
+        power = f ** n
+        # one squaring per bit below the top, one product per further set bit
+        assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
+        assert power == products[n]

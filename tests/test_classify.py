@@ -7,6 +7,7 @@ import pytest
 from spheretorus.classify import (
     BetaWindow,
     RegionLabel,
+    SweepRow,
     classify_region,
     enumerate_s2_nonminimal,
     solve_minimal_s2,
@@ -218,3 +219,16 @@ def test_sweep_rows_ordered_and_complete():
         r for r in rows if r.family == "t2" and r.R == 0.5 and r.k == 1)
     assert not tor_low.exists
     assert tor_low.reject_reason == "below the finite-torus threshold"
+
+
+def test_sweep_chain_rows_follow_the_solvers():
+    R, n = 1.97, 11
+    chains = [solve_minimal_s2(R, n)] + enumerate_s2_nonminimal(R, n)
+    rows = sweep_regions(n, [R])
+    assert rows[:len(chains)] == [SweepRow.of_chain(rec) for rec in chains]
+    assert {r.family for r in rows[len(chains):]} == {"t2"}
+    live = next(rec for rec in chains[1:] if rec.exists)
+    assert SweepRow.of_chain(live) == SweepRow(
+        R, n, "s2nonmin", live.k, live.alpha, live.beta_prime,
+        live.beta_prime, True, "")
+    assert SweepRow.of_chain(chains[0]).k is None

@@ -651,3 +651,15 @@ def test_paint_skips_non_tty(monkeypatch):
         def isatty(self):
             return False
     assert cli._paint("hi", "31", Plain()) == "hi"
+
+
+def test_cli_verify_failure_writes_an_error_record(capsys):
+    argv = ["verify", "t2", "--R", "2.5", "--n", "11", "--k", "3"]
+    assert cli.main(argv) == 0
+    passing = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + ["--tol", "1e-30"]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out) == dict(passing, tol=1e-30, ok=False)
+    lines = out.err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])

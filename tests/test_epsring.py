@@ -249,3 +249,23 @@ def test_str_round_readability():
     assert str(ES_ZERO) == "0"
     assert str(ES_EPS) == "1*eps"
     assert "1+eps^2" in str(ES_CIRCLE_INV)
+
+
+def test_power_squares_only_below_the_top_bit(monkeypatch):
+    s = ES_ONE + ES_EPS * ES_I
+    products = [ES_ONE]
+    for _ in range(16):
+        products.append(products[-1] * s)
+    calls = []
+    mul = EpsScalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(EpsScalar, "__mul__", counting)
+    for n in range(17):
+        calls.clear()
+        power = s ** n
+        assert len(calls) == max(0, n.bit_length() + bin(n).count("1") - 2), n
+        assert power == products[n]

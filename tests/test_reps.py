@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -761,3 +762,53 @@ def test_evaluate_matches_dense_oracle_for_non_diagonal_winding():
     ctx = AlgebraContext(Fraction(4))
     for text in ("u^-2", "ap * u^-1", "ud^2 * am^3", "x*z - w", "u^3"):
         _assert_evaluates_like_oracle(text, edited, ctx)
+
+
+# band storage ----------------------------------------------------------------
+
+
+def test_chain_at_scale_allocates_no_dense_matrix():
+    # one dense complex 2048 x 2048 matrix alone takes 64 MiB
+    spec = _minimal(0.5, 2048)
+    tracemalloc.start()
+    try:
+        m = build(spec)
+        report = verify_relations(m)
+        irreducible = check_irreducible(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok(1e-10 * 2048) and irreducible
+    assert peak < 16 * 2 ** 20, peak
+
+
+def _every_family():
+    for family in sorted(_REFS):
+        for n in (2, 5, 9, 16):
+            yield from map(build, _specs(family, n))
+    # cycles whose residuals round differently unless the band's diagonals
+    # are summed in the order a dense read gives them
+    for n, k, R in ((24, 1, 3.0), (32, 3, 2.257)):
+        win = t2_beta_window(R, n, k)
+        bp = math.pi if win.kind == "full" else 0.5 * (win.lo + win.hi)
+        yield build(ReprSpec(Family.T2, R, n, 0.0, bp, k=k))
+    for n in (2, 5, 16):
+        yield build_fuzzy_sphere(n)
+
+
+def test_dense_input_matches_band_storage():
+    families = set()
+    for m in _every_family():
+        dense = ReprMatrices(m.spec, m.u, m.ap, m.am)
+        assert verify_relations(dense) == verify_relations(m)
+        assert check_irreducible(dense) == check_irreducible(m)
+        assert emit_rep_json(dense) == emit_rep_json(m)
+        families.add(m.spec.family)
+    assert families == set(Family) - {Family.NC_TORUS}
+
+
+def test_dense_views_are_read_only():
+    m = build_s2(_minimal(0.5, 5))
+    for name in ("u", "ap", "am"):
+        with pytest.raises(ValueError):
+            getattr(m, name)[1, 0] = 1.0
