@@ -4,10 +4,11 @@ Every element is a finite sum of monomials  ladder^r * winding^s * scalar,
 where the ladder part is ``ap^r`` for r > 0 and ``am^(-r)`` for r < 0, the
 winding part is an integer power of the unitary ``u``, and the scalar is an
 :class:`~spheretorus.epsring.EpsScalar`.  A term is stored under the key
-``(r, s)``.  Products are reduced by contracting one innermost opposite
-ladder pair at a time and normal-ordering the winding factors that the
-contraction emits; the total ladder degree drops by two at each step, so
-the rewriting terminates.
+``(r, s)``.  A product of two terms slides the left winding factor across
+the right ladder block and contracts an opposite ladder pair with one
+cached table, ``ap^a am^b`` built up its diagonal.  ``am^a ap^b`` is its
+image under the automorphism theta (ap <-> am, u <-> u^-1, eps and i
+fixed), which sends the key ``(r, s)`` to ``(-r, -s)``.
 
 The underlying relations, written in the ladder/winding generators:
 
@@ -15,7 +16,7 @@ The underlying relations, written in the ladder/winding generators:
     ap am = (1 - i eps)/2 u + (1 + i eps)/2 u^-1 + R,
     am ap = (1 + i eps)/2 u + (1 - i eps)/2 u^-1 + R,
 
-with eps = tan(a/2) central and u unitary.
+with eps = tan(a/2) central and u unitary; theta swaps the last two.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .errors import ChartDomainError
+from .errors import ChartDomainError, DomainError
 
 from .epsring import (
     CRat,
@@ -75,11 +76,23 @@ class UnknownGenerator(ValueError):
 _HALF = EpsScalar((CR_HALF,))
 _MINUS_I_HALF = EpsScalar((CRat(Fraction(0), Fraction(-1, 2)),))
 _I_HALF = EpsScalar((CRat(Fraction(0), Fraction(1, 2)),))
-# coefficients of the two ladder contractions, keyed by emitted u power
+# the generators by name, as normal-form terms
+GENERATOR_TERMS: Dict[str, Terms] = {
+    "x": {(1, 0): _HALF, (-1, 0): _HALF},
+    "y": {(1, 0): _MINUS_I_HALF, (-1, 0): _I_HALF},
+    "z": {(0, 1): _MINUS_I_HALF, (0, -1): _I_HALF},
+    "w": {(0, 1): _HALF, (0, -1): _HALF},
+    "u": {(0, 1): ES_ONE},
+    "ud": {(0, -1): ES_ONE},
+    "ap": {(1, 0): ES_ONE},
+    "am": {(-1, 0): ES_ONE},
+    "eps": {(0, 0): ES_EPS},
+}
+# ap am = sum over sigma of coeff u^sigma, plus R
 _AP_AM = ((1, EpsScalar((CR_HALF, -CR_I * CR_HALF))),
           (-1, EpsScalar((CR_HALF, CR_I * CR_HALF))))
-_AM_AP = ((1, EpsScalar((CR_HALF, CR_I * CR_HALF))),
-          (-1, EpsScalar((CR_HALF, -CR_I * CR_HALF))))
+# deepest contraction min(a, b) of ap^a am^b; ap^24*am^24 takes about 15 s
+MAX_CONTRACTION = 24
 
 
 class AlgebraContext:
@@ -88,7 +101,7 @@ class AlgebraContext:
     def __init__(self, R):
         self.R = Fraction(R)
         self.R_scalar = EpsScalar.of(self.R)
-        self._contract_cache: Dict[Tuple[str, int, int], Terms] = {}
+        self._contract_cache: Dict[Key, Terms] = {}
 
     def __repr__(self) -> str:
         return f"AlgebraContext(R={self.R})"
@@ -114,64 +127,38 @@ class AlgebraContext:
         return NormalForm(self, {(0, 0): EpsScalar.of(value)})
 
     def generator(self, name: str) -> "NormalForm":
-        """One of x, y, z, w, u, ud, ap, am, eps."""
-        table = {
-            "x": {(1, 0): _HALF, (-1, 0): _HALF},
-            "y": {(1, 0): _MINUS_I_HALF, (-1, 0): _I_HALF},
-            "z": {(0, 1): _MINUS_I_HALF, (0, -1): _I_HALF},
-            "w": {(0, 1): _HALF, (0, -1): _HALF},
-            "u": {(0, 1): ES_ONE},
-            "ud": {(0, -1): ES_ONE},
-            "ap": {(1, 0): ES_ONE},
-            "am": {(-1, 0): ES_ONE},
-            "eps": {(0, 0): ES_EPS},
-        }
-        if name not in table:
+        """One of the names in GENERATOR_TERMS."""
+        if name not in GENERATOR_TERMS:
             raise UnknownGenerator(f"unknown generator {name!r}")
-        return NormalForm(self, table[name])
+        return NormalForm(self, GENERATOR_TERMS[name])
 
     # contraction engine --------------------------------------------------
 
-    def _contract(self, kind: str, a: int, b: int) -> Terms:
-        """Normal form of ap^a am^b ('pm') or am^a ap^b ('mp'), a,b >= 0."""
-        key = (kind, a, b)
-        hit = self._contract_cache.get(key)
-        if hit is not None:
-            return hit
-        if a == 0 or b == 0:
-            if kind == "pm":
-                r = a - b
-            else:
-                r = b - a
-            out: Terms = {(r, 0): ES_ONE}
-        else:
-            inner = self._contract(kind, a - 1, b - 1)
-            pairs = _AP_AM if kind == "pm" else _AM_AP
-            # the trailing block that the emitted u power must cross
-            trail = -(b - 1) if kind == "pm" else (b - 1)
-            out = {}
-            for sigma, coeff in pairs:
-                ph = coeff * phase(trail * sigma)
-                for (r, s), xi in inner.items():
-                    _accumulate(out, (r, s + sigma), xi * ph)
-            for (r, s), xi in inner.items():
-                _accumulate(out, (r, s), xi * self.R_scalar)
-            out = {k: v for k, v in out.items() if not v.is_zero()}
-        self._contract_cache[key] = out
+    def _contract(self, a: int, b: int) -> Terms:
+        """Normal form of ap^a am^b, a, b >= 1, up the diagonal from the
+        bare ladder: each cached step is ap^(a'-1) (ap am) am^(b'-1) with
+        u^sigma of ap am moved right across am^(b'-1)."""
+        depth = min(a, b)
+        if depth > MAX_CONTRACTION:
+            raise DomainError(f"ladder contraction of depth {depth} exceeds "
+                              f"MAX_CONTRACTION = {MAX_CONTRACTION}")
+        cache = self._contract_cache
+        out: Terms = {(a - b, 0): ES_ONE}
+        for j in range(depth - 1, -1, -1):
+            key = (a - j, b - j)
+            step = cache.get(key)
+            if step is None:
+                step = {}
+                for sigma, coeff in _AP_AM:
+                    ph = coeff * phase((j - b + 1) * sigma)
+                    for (r, s), xi in out.items():
+                        _accumulate(step, (r, s + sigma), xi * ph)
+                for (r, s), xi in out.items():
+                    _accumulate(step, (r, s), xi * self.R_scalar)
+                step = cache[key] = {k: v for k, v in step.items()
+                                     if not v.is_zero()}
+            out = step
         return out
-
-    def _mono_mul(self, r1: int, s1: int, r2: int, s2: int) -> Terms:
-        """Normal form of (ladder^r1 u^s1)(ladder^r2 u^s2), coefficient 1."""
-        # slide u^s1 across the second ladder block: picks up e^{i r2 s1 a}
-        ph = phase(r2 * s1)
-        if r1 == 0 or r2 == 0 or (r1 > 0) == (r2 > 0):
-            ladder: Terms = {(r1 + r2, 0): ES_ONE}
-        elif r1 > 0:
-            ladder = self._contract("pm", r1, -r2)
-        else:
-            ladder = self._contract("mp", -r1, r2)
-        shift = s1 + s2
-        return {(r, s + shift): xi * ph for (r, s), xi in ladder.items()}
 
 
 def _accumulate(terms: Terms, key: Key, value: EpsScalar) -> None:
@@ -237,12 +224,22 @@ class NormalForm:
         if coerced is None:
             return NotImplemented
         self._check(coerced)
+        contract = self.ctx._contract
         out: Terms = {}
         for (r1, s1), xi1 in self.terms.items():
             for (r2, s2), xi2 in coerced.terms.items():
+                # slide u^s1 right across ladder^r2: e^{i r2 s1 a}
                 weight = xi1 * xi2
-                for key, xi in self.ctx._mono_mul(r1, s1, r2, s2).items():
-                    _accumulate(out, key, xi * weight)
+                if r2 * s1:
+                    weight = weight * phase(r2 * s1)
+                shift = s1 + s2
+                if r1 * r2 >= 0:
+                    _accumulate(out, (r1 + r2, shift), weight)
+                    continue
+                # am^a ap^b is theta of ap^a am^b: keys (r, s) -> (-r, -s)
+                sign = 1 if r1 > 0 else -1
+                for (r, s), xi in contract(sign * r1, -sign * r2).items():
+                    _accumulate(out, (sign * r, sign * s + shift), xi * weight)
         return NormalForm(self.ctx, out)
 
     def __rmul__(self, other) -> "NormalForm":

@@ -166,9 +166,7 @@ def _record_line(rec: SolutionRecord, stream) -> str:
 def _resolve_spec(args, family: str) -> ReprSpec:
     if family == "s2min":
         _require(args, R=args.R, n=args.n)
-        # verify's --tol is its residual threshold, not a solver tolerance
-        solver = {} if args.command == "verify" else {"tol": args.tol}
-        rec = solve_minimal_s2(args.R, args.n, **solver)
+        rec = solve_minimal_s2(args.R, args.n)
         if not rec.exists:
             raise DomainError(rec.reject_reason)
         return ReprSpec(Family.S2MIN, args.R, args.n, rec.alpha,
@@ -533,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
              "build a representation and emit its JSON document")
     sp.add_argument("family", choices=_BUILD_FAMILIES)
     _add_common(sp, R=False, n=True, k=True, alpha=True, beta_prime=True,
-                nu_phase=True, tol=1e-12, out=True)
+                nu_phase=True, out=True)
     sp.add_argument("--R", type=_finite_float, help="surface parameter R")
 
     sp = new("verify", _cmd_verify,
@@ -570,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
              "emit the circle diagram SVG for a representation spec")
     sp.add_argument("family", choices=_REP_FAMILIES)
     _add_common(sp, n=True, k=True, alpha=True, beta_prime=True,
-                nu_phase=True, tol=1e-12, out=True)
+                nu_phase=True, out=True)
     sp.add_argument("--R", type=_finite_float, help="surface parameter R")
 
     return parser

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .algebra import AlgebraContext, NormalForm
+from .algebra import GENERATOR_TERMS, AlgebraContext, NormalForm
 from .epsring import CR_I, NotDivisible
 
 
@@ -40,7 +40,7 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-GENERATORS = ("x", "y", "z", "w", "u", "ud", "ap", "am", "eps")
+GENERATORS = tuple(GENERATOR_TERMS)
 
 # each level of nesting costs five parser frames and up to four fold frames
 MAX_NESTING = 100

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from spheretorus import algebra, parser
 from spheretorus.algebra import (
     AlgebraContext,
     CommutativePoly,
@@ -13,6 +14,7 @@ from spheretorus.algebra import (
     UnknownGenerator,
     commutative_mul,
 )
+from spheretorus.errors import DomainError
 from spheretorus.epsring import CR_HALF, CR_I, CRat, ES_EPS, ES_I, ES_ONE, EpsScalar, phase
 
 R_VALUES = (Fraction(0), Fraction(5, 8), Fraction(-1, 2), Fraction(2))
@@ -308,3 +310,130 @@ def test_power_squares_only_below_the_top_bit(monkeypatch):
         # one squaring per bit below the top, one product per further set bit
         assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
         assert power == products[n]
+
+
+# ladder contraction ---------------------------------------------------------
+#
+# The oracle is the earlier engine: one contraction table per ordering of
+# the opposite ladder pair, filled by recursion, and a per-monomial product
+# that multiplies the winding slide phase into every ladder term.
+
+_C_MINUS = EpsScalar((CR_HALF, -CR_I * CR_HALF))   # (1 - i eps)/2
+_C_PLUS = EpsScalar((CR_HALF, CR_I * CR_HALF))     # (1 + i eps)/2
+_ORACLE_PAIRS = {"pm": ((1, _C_MINUS), (-1, _C_PLUS)),
+                 "mp": ((1, _C_PLUS), (-1, _C_MINUS))}
+
+
+def _oracle_contract(ctx, cache, kind, a, b):
+    """Normal form of ap^a am^b ('pm') or am^a ap^b ('mp'), a,b >= 0."""
+    key = (kind, a, b)
+    if key in cache:
+        return cache[key]
+    if a == 0 or b == 0:
+        out = {(a - b if kind == "pm" else b - a, 0): ES_ONE}
+    else:
+        inner = _oracle_contract(ctx, cache, kind, a - 1, b - 1)
+        trail = -(b - 1) if kind == "pm" else (b - 1)
+        out = {}
+        for sigma, coeff in _ORACLE_PAIRS[kind]:
+            ph = coeff * phase(trail * sigma)
+            for (r, s), xi in inner.items():
+                out[(r, s + sigma)] = out.get((r, s + sigma), 0) + xi * ph
+        for (r, s), xi in inner.items():
+            out[(r, s)] = out.get((r, s), 0) + xi * ctx.R_scalar
+        out = {k: v for k, v in out.items() if not v.is_zero()}
+    cache[key] = out
+    return out
+
+
+def _oracle_mono_mul(ctx, cache, r1, s1, r2, s2):
+    ph = phase(r2 * s1)
+    if r1 == 0 or r2 == 0 or (r1 > 0) == (r2 > 0):
+        ladder = {(r1 + r2, 0): ES_ONE}
+    elif r1 > 0:
+        ladder = _oracle_contract(ctx, cache, "pm", r1, -r2)
+    else:
+        ladder = _oracle_contract(ctx, cache, "mp", -r1, r2)
+    return {(r, s + s1 + s2): xi * ph for (r, s), xi in ladder.items()}
+
+
+def _oracle_mul(f, g, cache):
+    out = {}
+    for (r1, s1), xi1 in f.terms.items():
+        for (r2, s2), xi2 in g.terms.items():
+            weight = xi1 * xi2
+            for key, xi in _oracle_mono_mul(f.ctx, cache, r1, s1, r2,
+                                            s2).items():
+                out[key] = out.get(key, 0) + xi * weight
+    return f.ctx.from_terms(out)
+
+
+def _theta(f):
+    """The automorphism ap <-> am, u <-> u^-1 fixing eps and i."""
+    return f.ctx.from_terms({(-r, -s): xi for (r, s), xi in f.terms.items()})
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_ladder_pairs_match_two_table_oracle(R):
+    ctx = _ctx(R)
+    ap, am = ctx.generator("ap"), ctx.generator("am")
+    cache = {}
+    for a in range(9):
+        for b in range(9):
+            pm = ctx.from_terms(_oracle_mono_mul(ctx, cache, a, 0, -b, 0))
+            mp = ctx.from_terms(_oracle_mono_mul(ctx, cache, -a, 0, b, 0))
+            assert ap ** a * am ** b == pm, (a, b)
+            assert am ** a * ap ** b == mp, (a, b)
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_product_matches_oracle_on_random_forms(R):
+    ctx = _ctx(R)
+    rng = random.Random(int(R * 8) + 29)
+    cache = {}
+    for _ in range(40):
+        f, g = _rand_form(rng, ctx), _rand_form(rng, ctx)
+        assert f * g == _oracle_mul(f, g, cache)
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_theta_is_an_automorphism(R):
+    ctx = _ctx(R)
+    rng = random.Random(int(R * 8) + 41)
+    g = _gens(ctx)
+    assert _theta(g["ap"]) == g["am"] and _theta(g["u"]) == g["ud"]
+    for _ in range(40):
+        f, h = _rand_form(rng, ctx), _rand_form(rng, ctx)
+        assert _theta(f * h) == _theta(f) * _theta(h)
+
+
+def test_contraction_depth_is_capped(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_CONTRACTION", 3)
+    ctx = _ctx(Fraction(1, 2))
+    ap, am = ctx.generator("ap"), ctx.generator("am")
+    assert ap ** 3 * am ** 3 == _oracle_mul(ap ** 3, am ** 3, {})
+    assert am ** 3 * ap ** 3 == _oracle_mul(am ** 3, ap ** 3, {})
+    for f, g in ((ap ** 4, am ** 4), (am ** 4, ap ** 4), (ap ** 9, am ** 5)):
+        with pytest.raises(DomainError, match="MAX_CONTRACTION = 3"):
+            _ = f * g
+
+
+def test_long_products_and_phases_are_not_capped(monkeypatch):
+    # the cap bounds one contraction, not the work of a product chain
+    monkeypatch.setattr(algebra, "MAX_CONTRACTION", 1)
+    ctx = _ctx(Fraction(5, 8))
+    ap, am, u = ctx.generator("ap"), ctx.generator("am"), ctx.generator("u")
+    chain = ctx.one()
+    for _ in range(40):
+        chain = chain * ap * am
+    assert chain == (ap * am) ** 40
+    assert u ** 300 * ap ** 2 == ap ** 2 * u ** 300 * ctx.scalar(phase(600))
+
+
+def test_generator_names_come_from_one_table():
+    assert parser.GENERATORS == (
+        "x", "y", "z", "w", "u", "ud", "ap", "am", "eps")
+    assert parser.GENERATORS == tuple(algebra.GENERATOR_TERMS)
+    ctx = _ctx()
+    for name, terms in algebra.GENERATOR_TERMS.items():
+        assert ctx.generator(name).terms == terms

@@ -225,6 +225,16 @@ def test_cli_reduce_deep_nesting_exits_2(capsys):
     assert "nests deeper" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("expr", ["ap^1100*am^1100", "am^1100*ap^1100"])
+def test_cli_reduce_deep_contraction_exits_1(expr, capsys):
+    rc = cli.main(["reduce", "--R", "0", "--expr", expr])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert "MAX_CONTRACTION" in json.loads(out.err)["error"]
+
+
 @pytest.mark.parametrize("expr, same_as", [
     (" + ".join(["x"] * 3000), "3000*x"),
     ("u" + "'" * 3001, "ud"),
@@ -256,6 +266,14 @@ def _usage_error(argv, capsys):
     assert out.out == ""
     assert "Traceback" not in out.err
     return json.loads(out.err)["error"]
+
+
+@pytest.mark.parametrize("command", ["build", "diagram"])
+def test_cli_solver_tol_is_not_an_option(command, capsys):
+    # the chain solver always runs at its own tolerance
+    error = _usage_error([command, "s2min", "--R", "0.5", "--n", "5",
+                          "--tol", "1e-12"], capsys)
+    assert "unrecognized arguments: --tol 1e-12" in error
 
 
 def test_cli_usage_errors_are_json_records(capsys):
