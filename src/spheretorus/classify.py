@@ -35,6 +35,13 @@ class SolutionRecord:
     residual: float = 0.0
     branch: str = ""
 
+    @property
+    def beta(self) -> Optional[float]:
+        """beta' + alpha/2, or None when either is missing."""
+        if self.alpha is None or self.beta_prime is None:
+            return None
+        return self.beta_prime + 0.5 * self.alpha
+
 
 @dataclass(frozen=True)
 class BetaWindow:

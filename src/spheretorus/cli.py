@@ -2,17 +2,21 @@
 
 Subcommands: topology, slice, solve-min-s2, enum-s2, t2-window, classify,
 build, verify, reduce, poisson, sweep, diagram.  Exit codes: 0 on success,
-1 on domain errors (including non-existence), 2 on usage or expression
-parse errors.  Errors go to standard error, as JSON unless --format text;
-usage errors always as JSON.  Sizes are capped (MAX_DIM, MAX_GRID,
-MAX_SWEEP) before anything is built.
+1 on domain errors (including non-existence, and results that overflow to
+a non-finite number), 2 on usage or expression parse errors.  Errors go to
+standard error, as JSON unless --format text; usage errors always as JSON.
+Sizes are capped (MAX_DIM, MAX_GRID, MAX_SWEEP) before anything is built.
 The only environment variable honored is NO_COLOR (suppresses ANSI codes
 in text output; JSON/CSV/SVG are never colored).
+
+build_parser() declares each subcommand with its own flags; main() parses
+with one parser, built on its first call and kept for the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -60,8 +64,11 @@ MAX_DIM = 4096
 MAX_GRID = 65536
 MAX_SWEEP = 1024
 
-_REP_FAMILIES = ("s2min", "s2nonmin", "t2", "t2window")
-_BUILD_FAMILIES = _REP_FAMILIES + ("fuzzy-sphere", "nc-torus")
+_NO_BETA = "no admissible beta': below the finite-torus threshold"
+_BUILD_FAMILIES = tuple(family.value for family in Family)
+# the families with an (R, n, alpha, beta') spec that diagram can draw
+_REP_FAMILIES = tuple(family.value for family in Family
+                      if family not in (Family.FUZZY_SPHERE, Family.NC_TORUS))
 
 
 def _paint(text: str, code: str, stream) -> str:
@@ -77,8 +84,7 @@ def _tnum(x: Optional[float]) -> str:
 
 
 def _fail(args, message: str, payload: Optional[dict] = None) -> int:
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "text":
+    if getattr(args, "format", None) == "text":
         sys.stderr.write(_paint(f"error: {message}", "31", sys.stderr) + "\n")
     else:
         doc = {"error": message}
@@ -89,7 +95,7 @@ def _fail(args, message: str, payload: Optional[dict] = None) -> int:
 
 
 def _print_doc(args, doc: dict, text_lines: List[str], compact: bool = False) -> None:
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         for line in text_lines:
             sys.stdout.write(line + "\n")
     elif compact:
@@ -100,7 +106,7 @@ def _print_doc(args, doc: dict, text_lines: List[str], compact: bool = False) ->
 
 def _deliver(args, text: str) -> None:
     """Send emitter output to --out (with a receipt on stdout) or stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         sys.stdout.write(render_json_compact({"out": args.out}) + "\n")
@@ -108,24 +114,20 @@ def _deliver(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require(args, **flags) -> None:
-    missing = [flag for flag, value in flags.items() if value is None]
+def _require(args, *dests) -> None:
+    missing = [dest for dest in dests if getattr(args, dest) is None]
     if missing:
-        pretty = ", ".join("--" + flag.replace("_", "-") for flag in missing)
+        pretty = ", ".join("--" + dest.replace("_", "-") for dest in missing)
         args._parser.error(f"{args.command} needs {pretty}")
 
 
 def _nu(args) -> complex:
-    phase = getattr(args, "nu_phase", None)
-    if phase is None:
+    if args.nu_phase is None:
         return 1.0 + 0.0j
-    return complex(math.cos(phase), math.sin(phase))
+    return complex(math.cos(args.nu_phase), math.sin(args.nu_phase))
 
 
 def _record_doc(rec: SolutionRecord) -> dict:
-    beta = None
-    if rec.alpha is not None and rec.beta_prime is not None:
-        beta = rec.beta_prime + 0.5 * rec.alpha
     return {
         "family": rec.family.value,
         "R": rec.R,
@@ -133,7 +135,7 @@ def _record_doc(rec: SolutionRecord) -> dict:
         "k": rec.k,
         "alpha": rec.alpha,
         "beta_prime": rec.beta_prime,
-        "beta": beta,
+        "beta": rec.beta,
         "exists": rec.exists,
         "reject_reason": rec.reject_reason,
         "residual": rec.residual,
@@ -153,7 +155,7 @@ def _record_line(rec: SolutionRecord, stream) -> str:
         bits.append(f"alpha={_tnum(rec.alpha)}")
     if rec.beta_prime is not None:
         bits.append(f"beta_prime={_tnum(rec.beta_prime)}")
-        bits.append(f"beta={_tnum(rec.beta_prime + 0.5 * (rec.alpha or 0.0))}")
+        bits.append(f"beta={_tnum(rec.beta)}")
     bits.append(f"exists={flag}")
     if rec.reject_reason:
         bits.append(f"reject={rec.reject_reason!r}")
@@ -165,31 +167,28 @@ def _record_line(rec: SolutionRecord, stream) -> str:
 
 def _resolve_spec(args, family: str) -> ReprSpec:
     if family == "s2min":
-        _require(args, R=args.R, n=args.n)
+        _require(args, "R", "n")
         rec = solve_minimal_s2(args.R, args.n)
         if not rec.exists:
             raise DomainError(rec.reject_reason)
         return ReprSpec(Family.S2MIN, args.R, args.n, rec.alpha,
                         rec.beta_prime)
     if family == "s2nonmin":
-        _require(args, R=args.R, n=args.n, alpha=args.alpha,
-                 beta_prime=args.beta_prime)
+        _require(args, "R", "n", "alpha", "beta_prime")
         return ReprSpec(Family.S2NONMIN, args.R, args.n, args.alpha,
                         args.beta_prime, k=args.k)
     if family == "t2":
-        _require(args, R=args.R, n=args.n, k=args.k)
+        _require(args, "R", "n", "k")
         bp = args.beta_prime
         if bp is None:
             win = t2_beta_window(args.R, args.n, args.k)
             if win.kind == "none":
-                raise DomainError(
-                    "no admissible beta': below the finite-torus threshold"
-                )
+                raise DomainError(_NO_BETA)
             bp = math.pi if win.kind == "full" else 0.5 * (win.lo + win.hi)
         return ReprSpec(Family.T2, args.R, args.n, TWO_PI * args.k / args.n,
                         bp, k=args.k, nu=_nu(args))
     if family == "t2window":
-        _require(args, R=args.R, n=args.n, alpha=args.alpha)
+        _require(args, "R", "n", "alpha")
         if args.n % 2 == 0 or args.n < 3:
             raise InvalidSpec(
                 f"window dimension must be odd and >= 3, got {args.n}"
@@ -204,10 +203,10 @@ def _build_target(args, family: str):
     """What build or verify names by family: a ReprMatrices, or the
     clock/shift NcTorusPair for nc-torus."""
     if family == "fuzzy-sphere":
-        _require(args, n=args.n)
+        _require(args, "n")
         return build_fuzzy_sphere(args.n)
     if family == "nc-torus":
-        _require(args, n=args.n, k=args.k)
+        _require(args, "n", "k")
         beta = 0.0 if args.beta_prime is None else args.beta_prime
         nu = _nu(args)
         return NcTorusPair(args.n, args.k, beta, nu,
@@ -275,8 +274,7 @@ def _cmd_t2_window(args) -> int:
         "delta": win.delta,
     }
     if win.kind == "none":
-        return _fail(args, "no admissible beta': below the finite-torus "
-                           "threshold", doc)
+        return _fail(args, _NO_BETA, doc)
     line = (f"kind={win.kind} beta_lo={_tnum(win.lo)} "
             f"beta_hi={_tnum(win.hi)} delta={_tnum(win.delta)}")
     _print_doc(args, doc, [line])
@@ -433,8 +431,16 @@ def _bounded_int(lo: int, hi: int):
     return parse
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type of an exact option: 1/0 is a usage error as well."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+
+
 _dim = _bounded_int(1, MAX_DIM)
-_grid = _bounded_int(1, MAX_GRID)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -446,44 +452,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_common(sp, *, R=False, R_exact=False, n=False, k=False, alpha=False,
-                beta_prime=False, nu_phase=False, eps=False, tol=None,
-                grid=None, out=False, formats=None, default_format="json"):
-    if R:
-        sp.add_argument("--R", type=_finite_float, required=True,
-                        help="surface parameter R")
-    if R_exact:
-        sp.add_argument("--R", type=Fraction, required=True,
-                        help="surface parameter R, exact (e.g. 5/8 or 0.625)")
-    if n:
-        sp.add_argument("--n", type=_dim, help="matrix dimension")
-    if k:
-        sp.add_argument("--k", type=int, help="winding integer k")
-    if alpha:
-        sp.add_argument("--alpha", type=_finite_float, help="angle step alpha")
-    if beta_prime:
-        sp.add_argument("--beta-prime", type=_finite_float, dest="beta_prime",
-                        help="angle offset beta'")
-    if nu_phase:
-        sp.add_argument("--nu-phase", type=_finite_float, dest="nu_phase",
-                        help="wrap phase angle; nu = exp(i*phase)")
-    if eps:
-        sp.add_argument("--eps", type=_finite_float, required=True,
-                        help="deformation parameter eps = tan(alpha/2)")
-    if tol is not None:
-        sp.add_argument("--tol", type=_finite_float, default=tol,
-                        help=f"numeric tolerance (default {tol})")
-    if grid is not None:
-        sp.add_argument("--grid", type=_grid, default=grid,
-                        help=f"grid/sample count (default {grid})")
-    if out:
-        sp.add_argument("--out", help="write output to this file")
-    if formats:
-        sp.add_argument("--format", choices=formats, default=default_format,
-                        help=f"output format (default {default_format})")
+def _flag(name: str, **kwargs):
+    """One argument of a subcommand: its name and add_argument keywords."""
+    return name, kwargs
+
+
+def _format(*choices):
+    """--format over choices; the first is the default."""
+    return _flag("--format", choices=choices, default=choices[0],
+                 help=f"output format (default {choices[0]})")
+
+
+def _grid(default: int):
+    return _flag("--grid", type=_bounded_int(1, MAX_GRID), default=default,
+                 help=f"grid/sample count (default {default})")
+
+
+_R = _flag("--R", type=_finite_float, required=True,
+           help="surface parameter R")
+_R_SPEC = _flag("--R", type=_finite_float, help="surface parameter R")
+_R_EXACT = _flag("--R", type=_fraction, required=True,
+                 help="surface parameter R, exact (e.g. 5/8 or 0.625)")
+_CHAIN = _flag("--n", type=_dim, required=True, help="chain length")
+_TOL = _flag("--tol", type=_finite_float, default=1e-12,
+             help="numeric tolerance (default 1e-12)")
+_OUT = _flag("--out", help="write output to this file")
+_JSON_TEXT = _format("json", "text")
+_JSON_CSV_TEXT = _format("json", "csv", "text")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `spheretorus` parser; main() builds it once per process."""
     parser = _Parser(
         prog="spheretorus",
         description="Deformed sphere-torus algebra: exact normal forms, "
@@ -491,93 +490,85 @@ def build_parser() -> argparse.ArgumentParser:
                     "diagram emitters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the five flags that pick a representation, for build, verify, diagram
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--n", type=_dim, help="matrix dimension")
+    spec.add_argument("--k", type=int, help="winding integer k")
+    spec.add_argument("--alpha", type=_finite_float, help="angle step alpha")
+    spec.add_argument("--beta-prime", type=_finite_float,
+                      help="angle offset beta'")
+    spec.add_argument("--nu-phase", type=_finite_float,
+                      help="wrap phase angle; nu = exp(i*phase)")
 
-    def new(name, func, help_):
-        sp = sub.add_parser(name, help=help_)
+    def new(name, func, help_, *flags, parents=()):
+        sp = sub.add_parser(name, help=help_, parents=parents)
         sp.set_defaults(func=func, _parser=sp)
-        return sp
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
 
-    sp = new("topology", _cmd_topology,
-             "label the commutative surface at R")
-    _add_common(sp, R=True, formats=("json", "text"))
-
-    sp = new("slice", _cmd_slice,
-             "sample the y=0 slice curve of the surface")
-    _add_common(sp, R=True, grid=256, out=True,
-                formats=("json", "csv", "text"))
-
-    sp = new("solve-min-s2", _cmd_solve_min_s2,
-             "solve the minimal sphere chain angle at (R, n)")
-    _add_common(sp, R=True, tol=1e-12, formats=("json", "text"))
-    sp.add_argument("--n", type=_dim, required=True, help="chain length")
-
-    sp = new("enum-s2", _cmd_enum_s2,
-             "enumerate non-minimal sphere chain candidates at (R, n)")
-    _add_common(sp, R=True, tol=1e-12, grid=4096, out=True,
-                formats=("json", "csv", "text"))
-    sp.add_argument("--n", type=_dim, required=True, help="chain length")
-
-    sp = new("t2-window", _cmd_t2_window,
-             "admissible beta' window for the finite torus at (R, n, k)")
-    _add_common(sp, R=True, formats=("json", "text"))
-    sp.add_argument("--n", type=_dim, required=True, help="cycle length")
-    sp.add_argument("--k", type=int, required=True, help="winding integer")
-
-    sp = new("classify", _cmd_classify,
-             "classify the (R, eps) parameter point and its families")
-    _add_common(sp, R=True, eps=True, formats=("json", "text"))
-
-    sp = new("build", _cmd_build,
-             "build a representation and emit its JSON document")
-    sp.add_argument("family", choices=_BUILD_FAMILIES)
-    _add_common(sp, R=False, n=True, k=True, alpha=True, beta_prime=True,
-                nu_phase=True, out=True)
-    sp.add_argument("--R", type=_finite_float, help="surface parameter R")
-
-    sp = new("verify", _cmd_verify,
-             "check defining-relation residuals of a file or fresh build")
-    sp.add_argument("target",
-                    help="path to a representation JSON file, or a family "
-                         "name to build from the flags")
-    _add_common(sp, n=True, k=True, alpha=True, beta_prime=True,
-                nu_phase=True, formats=("json", "text"))
-    sp.add_argument("--R", type=_finite_float, help="surface parameter R")
-    sp.add_argument("--tol", type=_finite_float, default=None,
-                    help="pass threshold (default 1e-10 * n)")
-
-    sp = new("reduce", _cmd_reduce,
-             "parse an expression and print its normal form")
-    _add_common(sp, R_exact=True, formats=("json", "text"))
-    sp.add_argument("--expr", required=True, help="expression to reduce")
-
-    sp = new("poisson", _cmd_poisson,
-             "Poisson bracket of two expressions in the commutative limit")
-    _add_common(sp, R_exact=True, formats=("json", "text"))
-    sp.add_argument("--f", required=True, help="first expression")
-    sp.add_argument("--g", required=True, help="second expression")
-
-    sp = new("sweep", _cmd_sweep,
-             "solve every family over a range of R and tabulate rows")
-    _add_common(sp, grid=4096, out=True, formats=("csv", "json"),
-                default_format="csv")
-    sp.add_argument("--n", type=_dim, required=True, help="dimension")
-    sp.add_argument("--R", required=True,
-                    help="single value or lo:hi:count range")
-
-    sp = new("diagram", _cmd_diagram,
-             "emit the circle diagram SVG for a representation spec")
-    sp.add_argument("family", choices=_REP_FAMILIES)
-    _add_common(sp, n=True, k=True, alpha=True, beta_prime=True,
-                nu_phase=True, out=True)
-    sp.add_argument("--R", type=_finite_float, help="surface parameter R")
-
+    new("topology", _cmd_topology, "label the commutative surface at R",
+        _R, _JSON_TEXT)
+    new("slice", _cmd_slice, "sample the y=0 slice curve of the surface",
+        _R, _grid(256), _OUT, _JSON_CSV_TEXT)
+    new("solve-min-s2", _cmd_solve_min_s2,
+        "solve the minimal sphere chain angle at (R, n)",
+        _R, _TOL, _JSON_TEXT, _CHAIN)
+    new("enum-s2", _cmd_enum_s2,
+        "enumerate non-minimal sphere chain candidates at (R, n)",
+        _R, _TOL, _grid(4096), _OUT, _JSON_CSV_TEXT, _CHAIN)
+    new("t2-window", _cmd_t2_window,
+        "admissible beta' window for the finite torus at (R, n, k)",
+        _R, _JSON_TEXT,
+        _flag("--n", type=_dim, required=True, help="cycle length"),
+        _flag("--k", type=int, required=True, help="winding integer"))
+    new("classify", _cmd_classify,
+        "classify the (R, eps) parameter point and its families",
+        _R, _flag("--eps", type=_finite_float, required=True,
+                  help="deformation parameter eps = tan(alpha/2)"),
+        _JSON_TEXT)
+    new("build", _cmd_build,
+        "build a representation and emit its JSON document",
+        _flag("family", choices=_BUILD_FAMILIES), _OUT, _R_SPEC,
+        parents=[spec])
+    new("verify", _cmd_verify,
+        "check defining-relation residuals of a file or fresh build",
+        _flag("target", help="path to a representation JSON file, or a "
+                             "family name to build from the flags"),
+        _JSON_TEXT, _R_SPEC,
+        _flag("--tol", type=_finite_float, default=None,
+              help="pass threshold (default 1e-10 * n)"),
+        parents=[spec])
+    new("reduce", _cmd_reduce,
+        "parse an expression and print its normal form",
+        _R_EXACT, _JSON_TEXT,
+        _flag("--expr", required=True, help="expression to reduce"))
+    new("poisson", _cmd_poisson,
+        "Poisson bracket of two expressions in the commutative limit",
+        _R_EXACT, _JSON_TEXT,
+        _flag("--f", required=True, help="first expression"),
+        _flag("--g", required=True, help="second expression"))
+    new("sweep", _cmd_sweep,
+        "solve every family over a range of R and tabulate rows",
+        _grid(4096), _OUT, _format("csv", "json"),
+        _flag("--n", type=_dim, required=True, help="dimension"),
+        _flag("--R", required=True, help="single value or lo:hi:count range"))
+    new("diagram", _cmd_diagram,
+        "emit the circle diagram SVG for a representation spec",
+        _flag("family", choices=_REP_FAMILIES), _OUT, _R_SPEC,
+        parents=[spec])
     return parser
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
+        for dest, value in vars(args).items():
+            if isinstance(value, list):  # `--flag=--` before Python 3.13
+                args._parser.error(f"argument --{dest.replace('_', '-')}: "
+                                   f"expected one argument")
         return args.func(args)
     except SystemExit as exc:
         # argparse reports usage problems by raising SystemExit(2); fold

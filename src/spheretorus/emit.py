@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Union
 import numpy as np
 
 from .classify import SweepRow
-from .errors import InvalidSpec
+from .errors import DomainError, InvalidSpec
 from .reps import (
     Family,
     NcTorusPair,
@@ -43,7 +43,7 @@ def _num_str(x: Union[int, float]) -> str:
         return str(int(x))
     xf = float(x)
     if not math.isfinite(xf):
-        raise ValueError(f"cannot serialize non-finite number {xf!r}")
+        raise DomainError(f"cannot serialize non-finite number {xf!r}")
     if xf == 0.0:
         return "0"  # never emit "-0": it would reload as integer zero
     return "%.17g" % xf
