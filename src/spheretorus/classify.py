@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .reps import ENDPOINT_TOL, Family, c_squared
 
@@ -91,6 +93,14 @@ class RegionInfo:
         }
 
 
+def _check_domain(R: float, grid: int = 1) -> None:
+    """The one argument check of every entry point: R finite, grid >= 1."""
+    if not math.isfinite(R):
+        raise DomainError(f"R must be a finite number, got {R!r}")
+    if grid < 1:
+        raise DomainError(f"grid must be at least 1, got {grid}")
+
+
 def _rhat(alpha: float, n: int) -> float:
     """The R value whose minimal chain has angle alpha; strictly increasing
     from -1 to sec(pi/n) on (0, 2*pi/n)."""
@@ -103,6 +113,7 @@ def solve_minimal_s2(R: float, n: int, tol: float = 1e-12) -> SolutionRecord:
     Exists iff -1 < R < sec(pi/n); then beta' = -n*alpha/2 and the chain
     spans the allowed arc symmetrically.
     """
+    _check_domain(R)
     if n < 2:
         raise DomainError(f"chain length must be at least 2, got {n}")
     r_max = 1.0 / math.cos(math.pi / n)
@@ -157,14 +168,6 @@ def _candidate(
     )
 
 
-def _branch_k(x: float) -> Optional[int]:
-    """Unique integer in the open interval (x - 3/2, x - 1/2), if any."""
-    k = math.floor(x - 1.5) + 1
-    if x - 1.5 < k < x - 0.5:
-        return k
-    return None
-
-
 def enumerate_s2_nonminimal(
     R: float, n: int, grid: int = 4096, tol: float = 1e-12
 ) -> List[SolutionRecord]:
@@ -172,11 +175,17 @@ def enumerate_s2_nonminimal(
 
     Branch A scans alpha in (2*pi/n, pi) for roots of
     cos(pi*k - n*alpha/2) + R*cos(alpha/2) with k the unique integer putting
-    beta' = pi*k - n*alpha/2 inside (-3*pi/2, -pi/2).  Branch B takes the
-    rational angles alpha = 2*pi*k'/n, gcd(k', n) = 1, and solves
+    beta' = pi*k - n*alpha/2 inside (-3*pi/2, -pi/2).  One numpy pass over
+    the grid only marks candidate brackets: a sign change, or |h| within
+    float dust of zero at either end, so that np.cos differing from math.cos
+    in the last ulp can add a bracket but never drop one.  Each candidate is
+    re-evaluated with math.cos and its root comes from the scalar bisection,
+    so every root is what a scalar scan of the whole grid finds.  Branch B
+    takes the rational angles alpha = 2*pi*k'/n, gcd(k', n) = 1, and solves
     cos(beta') = -R*cos(pi*k'/n) for both roots in (-2*pi, 0].  Candidates
     failing an interior inequality are kept with the failing index recorded.
     """
+    _check_domain(R, grid)
     if n < 2:
         raise DomainError(f"chain length must be at least 2, got {n}")
     records: List[SolutionRecord] = []
@@ -187,14 +196,23 @@ def enumerate_s2_nonminimal(
     lo = TWO_PI / n + 1e-12
     hi = math.pi - 1e-12
     if lo < hi:
-        pts = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
-        ks = [_branch_k(n * a / TWO_PI) for a in pts]
+        pts = lo + (hi - lo) * np.arange(grid + 1) / grid
+        x = n * pts / TWO_PI
+        ks = np.floor(x - 1.5) + 1.0
+        # k is defined where it lies in the open interval (x - 3/2, x - 1/2)
+        defined = (x - 1.5 < ks) & (ks < x - 0.5)
+        hs = np.cos(np.pi * ks - 0.5 * n * pts) + R * np.cos(0.5 * pts)
+        # a sign test, not h1*h2, which overflows (and warns) at huge R.
+        # |h| near zero marks the exact zeros the scalar code takes as roots
+        # and the signs np.cos may flip against math.cos in the last ulp;
+        # the bound scales with R, as the rounding of R*cos does
+        near = np.abs(hs) < 1e-9 * (1.0 + abs(R))
+        brackets = defined[:-1] & defined[1:] & (ks[:-1] == ks[1:]) & (
+            ((hs[:-1] < 0.0) != (hs[1:] < 0.0)) | near[:-1] | near[1:])
         roots = []
-        for i in range(grid):
-            k = ks[i]
-            if k is None or ks[i + 1] != k:
-                continue
-            a1, a2 = pts[i], pts[i + 1]
+        for i in np.flatnonzero(brackets).tolist():
+            k = int(ks[i])
+            a1, a2 = float(pts[i]), float(pts[i + 1])
             h1, h2 = h(a1, k), h(a2, k)
             if h1 == 0.0:
                 roots.append((a1, k))
@@ -248,6 +266,7 @@ def t2_beta_window(R: float, n: int, k: int) -> BetaWindow:
     sector (cos(delta/2) = R*cos(pi*k/n)) up to R = sec(pi*k/n); the full
     (pi - 2*pi/n, pi] beyond.  Ties go to the closed side of each range.
     """
+    _check_domain(R)
     if n < 3 or not 1 <= k < n / 2:
         raise DomainError(f"need n >= 3 and 1 <= k < n/2, got n={n}, k={k}")
     if math.gcd(n, k) != 1:
@@ -291,7 +310,8 @@ def classify_region(R: float, eps: float) -> RegionInfo:
     R_EPS_REL_TOL: probe values are typically decimal roundings of the
     exact square root and cannot hit it at float equality.
     """
-    if eps <= 0.0:
+    _check_domain(R)
+    if not eps > 0.0:  # nan included
         raise DomainError(f"eps must be positive, got {eps!r}")
     r_eps = math.sqrt(1.0 + eps * eps)
     if R < -1.0:
@@ -338,8 +358,11 @@ def sweep_regions(
     n: int, R_values: Iterable[float], grid: int = 4096
 ) -> List[SweepRow]:
     """Solve every family at each R; rows ordered by R, family, k, alpha."""
+    R_values = sorted(R_values)
+    for R in R_values:
+        _check_domain(R, grid)
     rows: List[SweepRow] = []
-    for R in sorted(R_values):
+    for R in R_values:
         rows.append(SweepRow.of_chain(solve_minimal_s2(R, n)))
         rows += map(SweepRow.of_chain, enumerate_s2_nonminimal(R, n, grid=grid))
         for k in range(1, (n - 1) // 2 + 1):

@@ -1,13 +1,16 @@
 """Parameter-region solvers: minimal chains, enumeration, windows, regions."""
 
 import math
+import random
 
 import pytest
 
 from spheretorus.classify import (
     BetaWindow,
     RegionLabel,
+    SolutionRecord,
     SweepRow,
+    _candidate,
     classify_region,
     enumerate_s2_nonminimal,
     solve_minimal_s2,
@@ -115,6 +118,147 @@ def test_enumeration_records_are_sorted():
     assert keys == sorted(keys)
 
 
+# scalar oracle ---------------------------------------------------------------
+#
+# The enumeration as a Python loop over every grid point, with math.cos
+# throughout.  The package marks brackets in one numpy pass and bisects only
+# those; the records must be equal, not close.
+
+
+def _branch_k(x):
+    k = math.floor(x - 1.5) + 1
+    if x - 1.5 < k < x - 0.5:
+        return k
+    return None
+
+
+def _enumerate_scalar(R, n, grid=4096, tol=1e-12):
+    records = []
+
+    def h(alpha, k):
+        return math.cos(math.pi * k - 0.5 * n * alpha) + R * math.cos(0.5 * alpha)
+
+    lo = TWO_PI / n + 1e-12
+    hi = math.pi - 1e-12
+    if lo < hi:
+        pts = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
+        ks = [_branch_k(n * a / TWO_PI) for a in pts]
+        roots = []
+        for i in range(grid):
+            k = ks[i]
+            if k is None or ks[i + 1] != k:
+                continue
+            a1, a2 = pts[i], pts[i + 1]
+            h1, h2 = h(a1, k), h(a2, k)
+            if h1 == 0.0:
+                roots.append((a1, k))
+                continue
+            if h1 * h2 >= 0.0:
+                continue
+            for _ in range(100):
+                mid = 0.5 * (a1 + a2)
+                hm = h(mid, k)
+                if abs(hm) < tol:
+                    break
+                if h1 * hm < 0.0:
+                    a2 = mid
+                else:
+                    a1, h1 = mid, hm
+            roots.append((0.5 * (a1 + a2), k))
+        for alpha, k in roots:
+            if records and records[-1].branch == "A" and \
+                    abs((records[-1].alpha or 0.0) - alpha) < 1e-9:
+                continue
+            beta_prime = math.pi * k - 0.5 * n * alpha
+            records.append(
+                _candidate(R, n, "A", k, alpha, beta_prime, abs(h(alpha, k)))
+            )
+
+    for kp in range(1, (n - 1) // 2 + 1):
+        if math.gcd(kp, n) != 1:
+            continue
+        alpha = TWO_PI * kp / n
+        if not alpha < math.pi:
+            continue
+        c = -R * math.cos(math.pi * kp / n)
+        if abs(c) > 1.0:
+            continue
+        base = math.acos(c)
+        betas = [-base]
+        if base not in (0.0, math.pi) and base - TWO_PI > -TWO_PI:
+            betas.append(base - TWO_PI)
+        for beta_prime in betas:
+            resid = abs(math.cos(beta_prime) + R * math.cos(0.5 * alpha))
+            records.append(_candidate(R, n, "B", kp, alpha, beta_prime, resid))
+
+    records.sort(key=lambda r: (r.alpha or 0.0, r.beta_prime or 0.0, r.branch))
+    return records
+
+
+def test_enumeration_matches_scalar_oracle():
+    rng = random.Random(9)
+    found = 0
+    # 100 and 1000 are not powers of two: i / grid rounds there
+    for grid in (1, 2, 16, 64, 100, 1000, 4096):
+        for _ in range(40 if grid < 1000 else 25):
+            R, n = rng.uniform(-1.5, 3.0), rng.randint(2, 200)
+            recs = enumerate_s2_nonminimal(R, n, grid=grid)
+            assert recs == _enumerate_scalar(R, n, grid=grid), (R, n, grid)
+            found += sum(r.branch == "A" for r in recs)
+    assert found > 100  # the draws do reach branch A
+
+
+@pytest.mark.parametrize("R", [1e6, -3e9, 1e300, -1.7e308, 5e-324])
+def test_enumeration_matches_scalar_oracle_at_extreme_radius(R):
+    for n in (3, 11, 40):
+        assert enumerate_s2_nonminimal(R, n, grid=512) == \
+            _enumerate_scalar(R, n, grid=512)
+
+
+@pytest.mark.parametrize("R, n, grid, i", [
+    (1.2461866659753869, 5, 64, 1),  # h falls through the zero
+    (1.4563198501212613, 4, 16, 2),  # h rises through it: no sign change
+])
+def test_enumeration_root_on_a_grid_point(R, n, grid, i):
+    # h is an exact float zero at grid point i: the root is that point,
+    # taken without bisection
+    lo, hi = TWO_PI / n + 1e-12, math.pi - 1e-12
+    a1 = lo + (hi - lo) * i / grid
+    assert math.cos(-0.5 * n * a1) + R * math.cos(0.5 * a1) == 0.0
+    recs = enumerate_s2_nonminimal(R, n, grid=grid)
+    assert recs == _enumerate_scalar(R, n, grid=grid)
+    rec = next(r for r in recs if r.alpha == a1)
+    assert (rec.branch, rec.k, rec.residual) == ("A", 0, 0.0)
+    assert isinstance(rec, SolutionRecord) and type(rec.alpha) is float
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("R", NON_FINITE)
+def test_non_finite_radius_is_rejected(R):
+    calls = [
+        lambda: solve_minimal_s2(R, 7),
+        lambda: enumerate_s2_nonminimal(R, 7, grid=64),
+        lambda: t2_beta_window(R, 11, 2),
+        lambda: classify_region(R, 0.5),
+        lambda: sweep_regions(5, [0.5, R], grid=64),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="R must be a finite number"):
+            call()
+
+
+def test_grid_below_one_is_rejected():
+    for grid in (0, -3):
+        with pytest.raises(DomainError, match="grid must be at least 1"):
+            enumerate_s2_nonminimal(1.5, 11, grid=grid)
+        with pytest.raises(DomainError, match="grid must be at least 1"):
+            sweep_regions(5, [1.5], grid=grid)
+    assert enumerate_s2_nonminimal(1.5, 11, grid=1) == \
+        _enumerate_scalar(1.5, 11, grid=1)
+
+
 def test_window_frozen_values():
     win = t2_beta_window(1.02, 11, 1)
     assert win.kind == "restricted"
@@ -188,6 +332,8 @@ def test_region_classification_at_half_eps():
         classify_region(0.0, 0.0)
     with pytest.raises(DomainError):
         classify_region(0.0, -0.3)
+    with pytest.raises(DomainError):
+        classify_region(0.0, math.nan)
 
 
 def test_region_flags_mapping():
