@@ -39,6 +39,7 @@ from .epsring import (
     NotDivisible,
     phase,
     power,
+    sum_scalars,
 )
 
 Key = Tuple[int, int]
@@ -225,7 +226,9 @@ class NormalForm:
             return NotImplemented
         self._check(coerced)
         contract = self.ctx._contract
-        out: Terms = {}
+        # a key holds its first term as it is, and a list once a second
+        # term arrives; each list is summed, and canonicalised, once
+        out: dict = {}
         for (r1, s1), xi1 in self.terms.items():
             for (r2, s2), xi2 in coerced.terms.items():
                 # slide u^s1 right across ladder^r2: e^{i r2 s1 a}
@@ -234,12 +237,24 @@ class NormalForm:
                     weight = weight * phase(r2 * s1)
                 shift = s1 + s2
                 if r1 * r2 >= 0:
-                    _accumulate(out, (r1 + r2, shift), weight)
-                    continue
-                # am^a ap^b is theta of ap^a am^b: keys (r, s) -> (-r, -s)
-                sign = 1 if r1 > 0 else -1
-                for (r, s), xi in contract(sign * r1, -sign * r2).items():
-                    _accumulate(out, (sign * r, sign * s + shift), xi * weight)
+                    found = (((r1 + r2, shift), weight),)
+                else:
+                    # am^a ap^b is theta of ap^a am^b: (r, s) -> (-r, -s)
+                    sign = 1 if r1 > 0 else -1
+                    found = [((sign * r, sign * s + shift), xi * weight)
+                             for (r, s), xi in
+                             contract(sign * r1, -sign * r2).items()]
+                for key, value in found:
+                    prev = out.get(key)
+                    if prev is None:
+                        out[key] = value
+                    elif type(prev) is list:
+                        prev.append(value)
+                    else:
+                        out[key] = [prev, value]
+        for key, value in out.items():
+            if type(value) is list:
+                out[key] = sum_scalars(value)
         return NormalForm(self.ctx, out)
 
     def __rmul__(self, other) -> "NormalForm":

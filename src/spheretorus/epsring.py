@@ -14,6 +14,19 @@ integer convolutions, and normalisation is content / primitive-part
 reduction: divide out the gcd of all parts and ``d``.  Because ``1 + eps^2``
 is monic, dividing it out of an integer numerator stays in the integers.
 
+Most products need less than a full canonicalisation (Geddes, Czapor and
+Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).  When one factor is
+a nonzero constant (degree 0, ``den_pow`` 0) the other numerator is scaled
+coefficient by coefficient and only the content gcd is taken again: a
+nonzero element of Q(i) is a unit of Q(i)[eps], so the scaled numerator is
+divisible by ``1 + eps^2`` exactly when the old one was, which for a
+canonical operand with ``den_pow > 0`` it is not; and Z[i] has no zero
+divisors, so no trailing zero appears.  A factor equal to 1 returns the
+other operand.  Sums of many scalars (:func:`sum_scalars`) lift every
+numerator once to the common denominator and the largest ``den_pow`` and
+canonicalise the total once.  Canonical form is unique, so each shortcut
+yields the same data as the general path.
+
 All arithmetic here is exact; floats only appear in :meth:`EpsScalar.eval`.
 :class:`CRat` is the exchange type for single coefficients.
 """
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Optional, Tuple, Union
@@ -101,8 +115,6 @@ CR_HALF = CRat(Fraction(1, 2), Fraction(0))
 # Gaussian-integer polynomials: sequences of (re, im) int pairs, lowest
 # degree first.
 
-_ONE_PLUS_EPS2 = ((1, 0), (0, 0), (1, 0))
-
 
 def _convolve(a, b) -> list:
     """Product of two nonzero polynomials (no trailing zeros appear)."""
@@ -122,11 +134,18 @@ def _convolve(a, b) -> list:
     return list(zip(re, im))
 
 
+@lru_cache(maxsize=64)
+def _circle_power(k: int) -> tuple:
+    """(1 + eps^2)^k, written out by the binomial theorem."""
+    out = [(0, 0)] * (2 * k + 1)
+    for j in range(k + 1):
+        out[2 * j] = (comb(k, j), 0)
+    return tuple(out)
+
+
 def _times_circle(c, times: int):
-    """c * (1 + eps^2)^times."""
-    for _ in range(times):
-        c = _convolve(c, _ONE_PLUS_EPS2)
-    return c
+    """c * (1 + eps^2)^times, times >= 1."""
+    return _convolve(_circle_power(times), c)
 
 
 def _div_circle(c) -> Optional[list]:
@@ -156,12 +175,43 @@ def _canonical(c, d: int, m: int) -> "EpsScalar":
         if quot is None:
             break
         c, m = quot, m - 1
+    return _primitive(c, d, m)
+
+
+def _primitive(c, d: int, m: int) -> "EpsScalar":
+    """The EpsScalar (c / d) / (1 + eps^2)^m with the content gcd of c and d
+    divided out; c has no trailing zero and, if m > 0, is not divisible by
+    1 + eps^2."""
     if d != 1:
         g = gcd(d, *chain.from_iterable(c))
         if g != 1:
             c = [(re // g, im // g) for re, im in c]
             d //= g
     return _new(tuple(c), d, m)
+
+
+def sum_scalars(terms) -> "EpsScalar":
+    """The sum of a sequence of EpsScalars, canonicalised once.
+
+    Each numerator is lifted to the common denominator lcm(d) and the
+    largest den_pow M, by one product with a scaled (1 + eps^2)^(M - m);
+    the lifted numerators are added and the total is reduced.
+    """
+    terms = [t for t in terms if t._c]
+    if not terms:
+        return ES_ZERO
+    d = lcm(*[t._d for t in terms])
+    m = max([t.den_pow for t in terms])
+    n = max([len(t._c) + 2 * (m - t.den_pow) for t in terms])
+    re, im = [0] * n, [0] * n
+    for t in terms:
+        c, k, scale = t._c, m - t.den_pow, d // t._d
+        if k or scale != 1:
+            c = _convolve([(b * scale, 0) for b, _ in _circle_power(k)], c)
+        for i, (x, y) in enumerate(c):
+            re[i] += x
+            im[i] += y
+    return _canonical(zip(re, im), d, m)
 
 
 def power(base, n: int, one):
@@ -214,12 +264,18 @@ class EpsScalar:
     def of(value: "EpsScalar | CRat | _RationalInput") -> "EpsScalar":
         if isinstance(value, EpsScalar):
             return value
+        if type(value) is int or type(value) is Fraction:
+            if not value:
+                return ES_ZERO
+            # a Fraction is in lowest terms with a positive denominator
+            return _new(((value.numerator, 0),), value.denominator, 0)
         return EpsScalar((value,))
 
     # ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "EpsScalar":
-        other = EpsScalar.of(other)
+        if type(other) is not EpsScalar:
+            other = EpsScalar.of(other)
         a, b = self._c, other._c
         if not a:
             return other
@@ -256,11 +312,26 @@ class EpsScalar:
                     self.den_pow)
 
     def __mul__(self, other) -> "EpsScalar":
-        other = EpsScalar.of(other)
-        if not self._c or not other._c:
+        if type(other) is not EpsScalar:
+            other = EpsScalar.of(other)
+        a, b = self._c, other._c
+        if not a or not b:
             return ES_ZERO
-        return _canonical(_convolve(self._c, other._c), self._d * other._d,
-                          self.den_pow + other.den_pow)
+        # A nonzero constant times a canonical scalar needs only the content
+        # gcd again (see the module docstring): no convolution, and no
+        # attempt to divide out 1 + eps^2.
+        if len(b) == 1 and not other.den_pow:
+            (cr, ci), d, scalar = b[0], other._d, self
+        elif len(a) == 1 and not self.den_pow:
+            (cr, ci), d, scalar = a[0], self._d, other
+        else:
+            return _canonical(_convolve(a, b), self._d * other._d,
+                              self.den_pow + other.den_pow)
+        if d == 1 and cr == 1 and not ci:
+            return scalar
+        return _primitive([(re * cr - im * ci, re * ci + im * cr)
+                           for re, im in scalar._c],
+                          scalar._d * d, scalar.den_pow)
 
     __rmul__ = __mul__
 
@@ -396,13 +467,14 @@ ES_CIRCLE_INV = EpsScalar((CR_ONE,), 1)
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
+@lru_cache(maxsize=512)
 def phase(s: int) -> EpsScalar:
     """e^{i s alpha} as an exact scalar, alpha the half-angle of eps.
 
     e^{i alpha} = (1 + i eps)^2 / (1 + eps^2); negative s conjugates.
     The numerator (1 +- i eps)^(2|s|) is written out by the binomial
     theorem; it is canonical as it stands (constant term 1, and 1 - i eps
-    does not divide it).
+    does not divide it).  Results are immutable and memoised.
     """
     if s == 0:
         return ES_ONE

@@ -55,6 +55,11 @@ class Token:
     pos: int
 
 
+# ASCII only: str.isdigit also accepts '\u00b2', which int and Fraction
+# reject, and '\u0661', which they read as 1
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(src: str) -> List[Token]:
     tokens = []
     i, n = 0, len(src)
@@ -70,13 +75,13 @@ def _tokenize(src: str) -> List[Token]:
             tokens.append(Token("NAME", src[i:j], i))
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
+            if j + 1 < n and src[j] == "." and src[j + 1] in _DIGITS:
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in _DIGITS:
                     j += 1
             tokens.append(Token("NUM", src[i:j], i))
             i = j

@@ -397,6 +397,24 @@ def test_product_matches_oracle_on_random_forms(R):
 
 
 @pytest.mark.parametrize("R", R_VALUES)
+def test_colliding_terms_match_left_fold_oracle(R):
+    # dense forms on few keys: most keys of a product receive several terms,
+    # with mixed denominators and powers of 1+eps^2, and some cancel
+    ctx = _ctx(R)
+    rng = random.Random(int(R * 8) + 53)
+    cache = {}
+    for _ in range(25):
+        f, g = (ctx.from_terms({
+            (rng.randint(-2, 2), rng.randint(-2, 2)): EpsScalar(
+                (CRat(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))),
+                      Fraction(rng.randint(-1, 1), rng.choice((1, 4)))),
+                 rng.randint(0, 1)), rng.randint(0, 2))
+            for _ in range(6)}) for _ in range(2))
+        assert f * g == _oracle_mul(f, g, cache)
+        assert (f + g) * (f - g) == _oracle_mul(f + g, f - g, cache)
+
+
+@pytest.mark.parametrize("R", R_VALUES)
 def test_theta_is_an_automorphism(R):
     ctx = _ctx(R)
     rng = random.Random(int(R * 8) + 41)

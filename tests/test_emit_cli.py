@@ -225,6 +225,25 @@ def test_cli_reduce_deep_nesting_exits_2(capsys):
     assert "nests deeper" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("x*²", "unexpected character '²' at position 2"),
+    ("x^²", "unexpected character '²' at position 2"),
+    ("x*١", "unexpected character '١' at position 2"),
+    ("x*½", "unexpected character '½' at position 2"),
+    ("x*é", "unknown identifier 'é' at position 2"),
+], ids=["superscript", "superscript-exponent", "arabic-indic", "vulgar",
+        "accented-name"])
+def test_cli_reduce_non_ascii_exits_2(expr, message, capsys):
+    # numbers are ASCII digits only; str.isdigit would let these through
+    rc = cli.main(["reduce", "--R", "0", "--expr", expr])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert "Traceback" not in out.err
+    assert len(out.err.splitlines()) == 1
+    assert json.loads(out.err)["error"].startswith(message)
+
+
 @pytest.mark.parametrize("expr", ["ap^1100*am^1100", "am^1100*ap^1100"])
 def test_cli_reduce_deep_contraction_exits_1(expr, capsys):
     rc = cli.main(["reduce", "--R", "0", "--expr", expr])

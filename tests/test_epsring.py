@@ -1,6 +1,9 @@
 """Exact scalar ring: canonical forms, ring axioms, phases, division."""
 
+import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +21,12 @@ from spheretorus.epsring import (
     ES_ZERO,
     EpsScalar,
     NotDivisible,
+    _canonical,
+    _convolve,
     cos_alpha,
     phase,
     sin_alpha,
+    sum_scalars,
 )
 
 _fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -269,3 +275,106 @@ def test_power_squares_only_below_the_top_bit(monkeypatch):
         power = s ** n
         assert len(calls) == max(0, n.bit_length() + bin(n).count("1") - 2), n
         assert power == products[n]
+
+
+# fast paths against the general route -----------------------------------------
+#
+# Products with a constant factor skip the convolution and the circle division,
+# EpsScalar.of builds rationals without CRat, phase is memoised, and
+# sum_scalars canonicalises once.  Canonical form is unique, so each must give
+# the raw data of the general route exactly.
+
+_KINDS = ("zero", "one", "const", "circle", "poly")
+
+
+def _rand_scalar(rng, kind):
+    """A canonical scalar of the given kind, small shared denominators so
+    that content gcds with the other factor are frequent."""
+    def part():
+        return rng.randint(-12, 12)
+
+    d = rng.choice((1, 2, 3, 4, 6, 12))
+    if kind == "zero":
+        return ES_ZERO
+    if kind == "one":
+        return ES_ONE
+    if kind in ("const", "circle"):
+        pair = (0, 0)
+        while pair == (0, 0):
+            pair = (part(), part())
+        return _canonical([pair], d, 0 if kind == "const" else
+                          rng.randint(1, 3))
+    coeffs = [(part(), part()) for _ in range(rng.randint(2, 6))]
+    coeffs[-1] = (coeffs[-1][0] or 1, coeffs[-1][1])
+    return _canonical(coeffs, d, rng.randint(0, 3))
+
+
+def _data(a):
+    return a._c, a._d, a.den_pow
+
+
+@pytest.mark.parametrize("left", _KINDS)
+@pytest.mark.parametrize("right", _KINDS)
+def test_product_fast_paths_match_convolution(left, right):
+    rng = random.Random(f"{left}*{right}")
+    for _ in range(60):
+        a, b = _rand_scalar(rng, left), _rand_scalar(rng, right)
+        general = _canonical(_convolve(a._c, b._c), a._d * b._d,
+                             a.den_pow + b.den_pow)
+        assert _data(a * b) == _data(general), (a, b)
+        assert _data(b * a) == _data(general), (a, b)
+
+
+def test_product_coerces_rationals_and_crats():
+    rng = random.Random(7)
+    for kind in _KINDS:
+        a = _rand_scalar(rng, kind)
+        for v in (0, 1, -3, Fraction(-5, 6)):
+            want = a * EpsScalar((CRat.of(v),))
+            assert _data(a * v) == _data(want)
+            assert _data(v * a) == _data(want)
+        crat = CRat(Fraction(1, 2), Fraction(-2, 3))
+        assert _data(a * crat) == _data(a * EpsScalar((crat,)))
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, -1, 7, -12, 2 ** 70, -(3 ** 50), Fraction(0), Fraction(1),
+    Fraction(-1, 2), Fraction(-22, 7), Fraction(-(2 ** 65), 3 ** 41),
+    Fraction(6, 4), True, False, CRat(Fraction(-3, 4), Fraction(5)),
+])
+def test_of_rational_matches_crat_route(value):
+    assert _data(EpsScalar.of(value)) == _data(EpsScalar((CRat.of(value),)))
+
+
+def test_sum_scalars_matches_left_fold_of_add():
+    rng = random.Random(11)
+    for _ in range(300):
+        terms = [_rand_scalar(rng, rng.choice(_KINDS))
+                 for _ in range(rng.randint(3, 6))]
+        if rng.random() < 0.2:
+            terms.append(-terms[0])  # cancellation down to a lower den_pow
+        assert _data(sum_scalars(terms)) == _data(reduce(add, terms)), terms
+    assert sum_scalars([]) is ES_ZERO
+    assert sum_scalars([ES_ZERO, ES_ZERO, ES_ZERO]) is ES_ZERO
+
+
+def test_sum_scalars_lifts_mixed_den_pow():
+    # (1 + eps^2)/(1 + eps^2)^3 + (2/3)/(1 + eps^2) - 1/4 is, over
+    # (1 + eps^2)^2, the numerator 1 + (2/3)(1 + eps^2) - (1/4)(1 + eps^2)^2
+    terms = [ES_CIRCLE_INV ** 3, ES_EPS * ES_EPS * ES_CIRCLE_INV ** 3,
+             EpsScalar.of(Fraction(2, 3)) * ES_CIRCLE_INV,
+             EpsScalar.of(Fraction(-1, 4))]
+    want = EpsScalar((Fraction(17, 12), 0, Fraction(1, 6), 0,
+                      Fraction(-1, 4)), 2)
+    assert _data(sum_scalars(terms)) == _data(want)
+    assert _data(reduce(add, terms)) == _data(want)
+
+
+def test_phase_matches_uncached_binomial():
+    e_i_alpha = EpsScalar((CR_ONE, CR_I)) ** 2 * ES_CIRCLE_INV
+    for s in range(-40, 41):
+        want = e_i_alpha ** s if s >= 0 else e_i_alpha.conjugate() ** -s
+        assert _data(phase(s)) == _data(want), s
+        assert _data(phase.__wrapped__(s)) == _data(want), s
+        assert phase(s) is phase(s)
+    assert phase.cache_info().maxsize is not None
