@@ -5,6 +5,11 @@ cos(beta') + R*cos(alpha/2) = 0 has solutions compatible with beta' + n*alpha
 landing on the other zero, torus-type cycles where n*alpha is a full number
 of turns and every cycle point clears the forbidden sector, and the region
 of the (R, eps) plane decides which families are available at all.
+
+The scalar chain core (the ``Family`` enum, the coupling ``c_squared`` and
+the angle/deformation conversions) lives here too, and ``reps`` re-exports
+it.  Nothing in this module needs arrays except the vectorised scan of
+``enumerate_s2_nonminimal``, which imports numpy when it runs.
 """
 
 from __future__ import annotations
@@ -14,12 +19,39 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional
 
-import numpy as np
-
 from .errors import DomainError
-from .reps import ENDPOINT_TOL, Family, c_squared
 
 TWO_PI = 2.0 * math.pi
+ENDPOINT_TOL = 1e-9  # sphere chains: |C|^2 ends within it of 0, stays above
+
+
+class Family(str, Enum):
+    S2MIN = "s2min"
+    S2NONMIN = "s2nonmin"
+    T2 = "t2"
+    T2WINDOW = "t2window"
+    FUZZY_SPHERE = "fuzzy-sphere"
+    NC_TORUS = "nc-torus"
+
+
+def epsilon_of_alpha(alpha: float) -> float:
+    """Deformation value tan(alpha/2) for an admissible angle."""
+    if not 0.0 < alpha < math.pi:
+        raise DomainError(f"alpha must lie in (0, pi), got {alpha!r}")
+    return math.tan(0.5 * alpha)
+
+
+def alpha_of_epsilon(eps: float) -> float:
+    if eps <= 0.0:
+        raise DomainError(f"eps must be positive, got {eps!r}")
+    return 2.0 * math.atan(eps)
+
+
+def c_squared(theta_prime: float, R: float, alpha: float) -> float:
+    """The squared ladder coupling sec(alpha/2)*cos(theta') + R."""
+    if not 0.0 < alpha < math.pi:
+        raise DomainError(f"alpha must lie in (0, pi), got {alpha!r}")
+    return math.cos(theta_prime) / math.cos(0.5 * alpha) + R
 
 
 @dataclass(frozen=True)
@@ -185,6 +217,8 @@ def enumerate_s2_nonminimal(
     cos(beta') = -R*cos(pi*k'/n) for both roots in (-2*pi, 0].  Candidates
     failing an interior inequality are kept with the failing index recorded.
     """
+    import numpy as np
+
     _check_domain(R, grid)
     if n < 2:
         raise DomainError(f"chain length must be at least 2, got {n}")

@@ -11,6 +11,10 @@ in text output; JSON/CSV/SVG are never colored).
 
 build_parser() declares each subcommand with its own flags; main() parses
 with one parser, built on its first call and kept for the process.
+Importing this module loads no numpy.  The handlers that compute with
+arrays (enum-s2, build, verify, sweep, diagram) load it when they run:
+they import ``reps`` and ``emit`` there, and the non-minimal chain scan
+imports numpy itself.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import List, Optional
 
 from .algebra import AlgebraContext, ContextMismatch, UnknownGenerator
 from .classify import (
+    Family,
     SolutionRecord,
     SweepRow,
     classify_region,
@@ -34,29 +38,11 @@ from .classify import (
     sweep_regions,
     t2_beta_window,
 )
-from .emit import (
-    emit_diagram_svg,
-    emit_rep_json,
-    emit_sweep_csv,
-    load_rep_json,
-    render_json,
-    render_json_compact,
-)
 from .epsring import NotDivisible
 from .errors import DomainError, InvalidSpec
 from .geometry import slice_curve, topology_of
+from .jsontext import render_json, render_json_compact
 from .parser import ParseError, parse_expr
-from .reps import (
-    Family,
-    NcTorusPair,
-    ReprMatrices,
-    ReprSpec,
-    build,
-    build_fuzzy_sphere,
-    build_nc_torus,
-    check_irreducible,
-    verify_relations,
-)
 
 TWO_PI = 2.0 * math.pi
 # size caps; the dense matrices of a `build` document are 805 MB at MAX_DIM
@@ -165,20 +151,32 @@ def _record_line(rec: SolutionRecord, stream) -> str:
 # spec assembly shared by build/verify/diagram -------------------------------
 
 
+# the flags each family needs; they are checked before reps is imported,
+# so that a missing flag is a usage error that loads no numpy
+_SPEC_FLAGS = {
+    "s2min": ("R", "n"),
+    "s2nonmin": ("R", "n", "alpha", "beta_prime"),
+    "t2": ("R", "n", "k"),
+    "t2window": ("R", "n", "alpha"),
+    "fuzzy-sphere": ("n",),
+    "nc-torus": ("n", "k"),
+}
+
+
 def _resolve_spec(args, family: str) -> ReprSpec:
+    _require(args, *_SPEC_FLAGS.get(family, ()))
+    from .reps import ReprSpec
+
     if family == "s2min":
-        _require(args, "R", "n")
         rec = solve_minimal_s2(args.R, args.n)
         if not rec.exists:
             raise DomainError(rec.reject_reason)
         return ReprSpec(Family.S2MIN, args.R, args.n, rec.alpha,
                         rec.beta_prime)
     if family == "s2nonmin":
-        _require(args, "R", "n", "alpha", "beta_prime")
         return ReprSpec(Family.S2NONMIN, args.R, args.n, args.alpha,
                         args.beta_prime, k=args.k)
     if family == "t2":
-        _require(args, "R", "n", "k")
         bp = args.beta_prime
         if bp is None:
             win = t2_beta_window(args.R, args.n, args.k)
@@ -188,7 +186,6 @@ def _resolve_spec(args, family: str) -> ReprSpec:
         return ReprSpec(Family.T2, args.R, args.n, TWO_PI * args.k / args.n,
                         bp, k=args.k, nu=_nu(args))
     if family == "t2window":
-        _require(args, "R", "n", "alpha")
         if args.n % 2 == 0 or args.n < 3:
             raise InvalidSpec(
                 f"window dimension must be odd and >= 3, got {args.n}"
@@ -202,11 +199,12 @@ def _resolve_spec(args, family: str) -> ReprSpec:
 def _build_target(args, family: str):
     """What build or verify names by family: a ReprMatrices, or the
     clock/shift NcTorusPair for nc-torus."""
+    _require(args, *_SPEC_FLAGS[family])
+    from .reps import NcTorusPair, build, build_fuzzy_sphere, build_nc_torus
+
     if family == "fuzzy-sphere":
-        _require(args, "n")
         return build_fuzzy_sphere(args.n)
     if family == "nc-torus":
-        _require(args, "n", "k")
         beta = 0.0 if args.beta_prime is None else args.beta_prime
         nu = _nu(args)
         return NcTorusPair(args.n, args.k, beta, nu,
@@ -247,6 +245,8 @@ def _cmd_enum_s2(args) -> int:
     records = enumerate_s2_nonminimal(args.R, args.n, grid=args.grid,
                                       tol=args.tol)
     if args.format == "csv":
+        from .emit import emit_sweep_csv
+
         _deliver(args, emit_sweep_csv(map(SweepRow.of_chain, records)))
         return 0
     doc = {
@@ -298,13 +298,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    _deliver(args, emit_rep_json(_build_target(args, args.family)))
+    target = _build_target(args, args.family)
+    from .emit import emit_rep_json
+
+    _deliver(args, emit_rep_json(target))
     return 0
 
 
 def _cmd_verify(args) -> int:
     target = args.target
     if os.path.isfile(target):
+        from .emit import load_rep_json
+
         with open(target, encoding="utf-8", errors="replace") as fh:
             loaded = load_rep_json(fh.read())
     elif target in _BUILD_FAMILIES:
@@ -314,6 +319,8 @@ def _cmd_verify(args) -> int:
             f"target {target!r} is neither a readable file nor a family "
             f"({', '.join(_BUILD_FAMILIES)})"
         )
+    from .reps import ReprMatrices, check_irreducible, verify_relations
+
     report = verify_relations(loaded)
     residuals = report.residuals
     # a clock/shift pair has no ladder, so no irreducibility verdict
@@ -385,14 +392,19 @@ def _parse_R_range(args) -> List[float]:
 def _cmd_sweep(args) -> int:
     rows = sweep_regions(args.n, _parse_R_range(args), grid=args.grid)
     if args.format == "json":
-        _print_doc(args, {"n": args.n, "rows": list(map(asdict, rows))}, [])
+        # a SweepRow's __dict__ holds its fields in declaration order
+        _print_doc(args, {"n": args.n, "rows": list(map(vars, rows))}, [])
         return 0
+    from .emit import emit_sweep_csv
+
     _deliver(args, emit_sweep_csv(rows))
     return 0
 
 
 def _cmd_diagram(args) -> int:
     spec = _resolve_spec(args, args.family)
+    from .emit import emit_diagram_svg
+
     _deliver(args, emit_diagram_svg(spec))
     return 0
 

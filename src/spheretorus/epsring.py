@@ -61,13 +61,22 @@ class CRat:
             return value
         return CRat(Fraction(value), Fraction(0))
 
-    def __add__(self, other: "CRat") -> "CRat":
+    def __add__(self, other: "CRat | _RationalInput") -> "CRat":
+        other = _crat_operand(other)
+        if other is None:
+            return NotImplemented
         return CRat(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "CRat") -> "CRat":
+    def __sub__(self, other: "CRat | _RationalInput") -> "CRat":
+        other = _crat_operand(other)
+        if other is None:
+            return NotImplemented
         return CRat(self.re - other.re, self.im - other.im)
 
-    def __mul__(self, other: "CRat") -> "CRat":
+    def __mul__(self, other: "CRat | _RationalInput") -> "CRat":
+        other = _crat_operand(other)
+        if other is None:
+            return NotImplemented
         return CRat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -104,6 +113,17 @@ class CRat:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
+
+
+def _crat_operand(value) -> "CRat | None":
+    """value as the CRat operand of a CRat operation, or None when it is not
+    a CRat, int or Fraction: the operation then returns NotImplemented, and
+    Python tries the reflected one (``CRat * EpsScalar`` is an EpsScalar)."""
+    if isinstance(value, CRat):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return CRat.of(value)
+    return None
 
 
 CR_ZERO = CRat()

@@ -22,7 +22,7 @@ they are parsed and folded in loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -48,100 +48,132 @@ MAX_NESTING = 100
 _ATOM_EXPECTED = ("a generator name", "a number", "'('", "'['", "'-'")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME, NUM, or the operator character itself
-    text: str
-    pos: int
+class _Node:
+    """A plain record of the fields named by ``__slots__``, compared and
+    printed by value."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable, like any plain object with value equality
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={value!r}" for field, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
-# ASCII only: str.isdigit also accepts '\u00b2', which int and Fraction
-# reject, and '\u0661', which they read as 1
-_DIGITS = frozenset("0123456789")
+class Token(_Node):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # NAME, NUM, END, or the operator character itself
+        self.text = text
+        self.pos = pos
+
+
+# Leading whitespace (\s is exactly str.isspace), then one token: an
+# operator, a NAME, a NUM, or any other character, which is an error.
+# Trailing whitespace matches nothing, and the matches tile the rest of the
+# text, so positions follow from the lengths.  NUM is ASCII digits only:
+# str.isdigit also accepts '\u00b2', which int and Fraction reject, and
+# '\u0661', which they read as 1.  The NAME class is the letters
+# (str.isalpha) plus the numerics that are not decimal digits ('\u00b2',
+# '\u00bd'); those are errors.
+_TOKEN = re.compile(
+    r"(\s*)(?:([-+*^()\[\],'])|([^\W\d_]+)|([0-9]+(?:\.[0-9]+)?)|(\S))")
 
 
 def _tokenize(src: str) -> List[Token]:
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and src[j].isalpha():
-                j += 1
-            tokens.append(Token("NAME", src[i:j], i))
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            if j + 1 < n and src[j] == "." and src[j + 1] in _DIGITS:
-                j += 1
-                while j < n and src[j] in _DIGITS:
-                    j += 1
-            tokens.append(Token("NUM", src[i:j], i))
-            i = j
-            continue
-        if c in "+-*^()[],'":
-            tokens.append(Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(Token("END", "", n))
+    pos = 0
+    for space, op, name, num, other in _TOKEN.findall(src):
+        pos += len(space)
+        if op:
+            tokens.append(Token(op, op, pos))
+        elif name:
+            if not name.isalpha():
+                bad = next(j for j, c in enumerate(name) if not c.isalpha())
+                raise ParseError(f"unexpected character {name[bad]!r}",
+                                 pos + bad)
+            tokens.append(Token("NAME", name, pos))
+        elif num:
+            tokens.append(Token("NUM", num, pos))
+        else:
+            raise ParseError(f"unexpected character {other!r}", pos)
+        pos += len(op or name or num)
+    tokens.append(Token("END", "", len(src)))
     return tokens
 
 
 # AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Name:
-    id: str
-    pos: int
+class Name(_Node):
+    __slots__ = ("id", "pos")
+
+    def __init__(self, id: str, pos: int):
+        self.id = id
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int
+class Num(_Node):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: Fraction, pos: int):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "ExprAst"
-    pos: int
+class Neg(_Node):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg: "ExprAst", pos: int):
+        self.arg = arg
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-' or '*'
-    left: "ExprAst"
-    right: "ExprAst"
-    pos: int
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: "ExprAst", right: "ExprAst", pos: int):
+        self.op = op  # '+', '-' or '*'
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
-    pos: int
+class Pow(_Node):
+    __slots__ = ("base", "exponent", "pos")
+
+    def __init__(self, base: "ExprAst", exponent: int, pos: int):
+        self.base = base
+        self.exponent = exponent
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Adjoint:
-    arg: "ExprAst"
-    pos: int
+class Adjoint(_Node):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg: "ExprAst", pos: int):
+        self.arg = arg
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Commutator:
-    left: "ExprAst"
-    right: "ExprAst"
-    pos: int
+class Commutator(_Node):
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: "ExprAst", right: "ExprAst", pos: int):
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
 ExprAst = Union[Name, Num, Neg, BinOp, Pow, Adjoint, Commutator]

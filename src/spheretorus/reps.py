@@ -29,47 +29,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .algebra import ContextMismatch, NormalForm
-from .errors import DomainError, InvalidSpec
+# the scalar chain core lives in the numpy-free classify; re-exported here
+from .classify import (
+    ENDPOINT_TOL,
+    Family,
+    alpha_of_epsilon,
+    c_squared,
+    epsilon_of_alpha,
+)
+from .errors import InvalidSpec
 
 TWO_PI = 2.0 * math.pi
-ENDPOINT_TOL = 1e-9  # sphere chains: |C|^2 ends within it of 0, stays above
 IRREDUCIBLE_TOL = 1e-8  # closer winding eigenvalues make m reducible
-
-
-class Family(str, Enum):
-    S2MIN = "s2min"
-    S2NONMIN = "s2nonmin"
-    T2 = "t2"
-    T2WINDOW = "t2window"
-    FUZZY_SPHERE = "fuzzy-sphere"
-    NC_TORUS = "nc-torus"
-
-
-def epsilon_of_alpha(alpha: float) -> float:
-    """Deformation value tan(alpha/2) for an admissible angle."""
-    if not 0.0 < alpha < math.pi:
-        raise DomainError(f"alpha must lie in (0, pi), got {alpha!r}")
-    return math.tan(0.5 * alpha)
-
-
-def alpha_of_epsilon(eps: float) -> float:
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    return 2.0 * math.atan(eps)
-
-
-def c_squared(theta_prime: float, R: float, alpha: float) -> float:
-    """The squared ladder coupling sec(alpha/2)*cos(theta') + R."""
-    if not 0.0 < alpha < math.pi:
-        raise DomainError(f"alpha must lie in (0, pi), got {alpha!r}")
-    return math.cos(theta_prime) / math.cos(0.5 * alpha) + R
 
 
 def _wrap_half_open(x: float, lo: float, period: float = TWO_PI) -> float:

@@ -1,5 +1,6 @@
 """Serializers (JSON/CSV/SVG) and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -19,6 +20,7 @@ from spheretorus.emit import (
     emit_rep_json,
     emit_sweep_csv,
     load_rep_json,
+    render_json,
     render_json_compact,
 )
 from spheretorus.errors import InvalidSpec
@@ -632,6 +634,16 @@ def test_cli_sweep_range_and_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     radii = {line.split(",")[0] for line in a.read_text().splitlines()[1:]}
     assert radii == {"-0.6", "0", "0.6", "1.2"}
+
+
+def test_cli_sweep_json_rows_are_the_fields_in_order(capsys):
+    argv = ["sweep", "--n", "5", "--R=-0.6:1.2:4", "--grid", "512"]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    step = (1.2 - -0.6) / 3
+    rows = sweep_regions(5, [-0.6 + i * step for i in range(4)], grid=512)
+    doc = {"n": 5, "rows": [dataclasses.asdict(row) for row in rows]}
+    assert capsys.readouterr().out == render_json(doc)
+    assert list(doc["rows"][0]) == list(SWEEP_HEADER)
 
 
 def test_cli_diagram_deterministic(tmp_path, capsys):

@@ -378,3 +378,19 @@ def test_phase_matches_uncached_binomial():
         assert _data(phase.__wrapped__(s)) == _data(want), s
         assert phase(s) is phase(s)
     assert phase.cache_info().maxsize is not None
+
+
+def test_crat_defers_to_the_other_operand():
+    # CRat's operations return NotImplemented for what they cannot take, so
+    # Python tries the reflected operation of the other operand
+    c, s = CRat(Fraction(1, 2), Fraction(-3)), EpsScalar((1, CR_I), 1)
+    assert c * s == s * c == EpsScalar((c, c * CR_I), 1)
+    assert c + s == s + c
+    assert c - s == -(s - c)
+    assert CRat(Fraction(1)) * EpsScalar.of(2) == EpsScalar.of(2)
+    assert c * 2 == c + c == CRat(Fraction(1), Fraction(-6))
+    assert c - Fraction(1, 2) == CRat(Fraction(0), Fraction(-3))
+    for op in (lambda: c + object(), lambda: c - object(),
+               lambda: c * object(), lambda: c * 0.5):
+        with pytest.raises(TypeError):
+            op()

@@ -1,11 +1,19 @@
 """Expression parser: grammar, precedence, positions, reductions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from spheretorus.algebra import AlgebraContext
-from spheretorus.parser import MAX_NESTING, ParseError, fold, parse, parse_expr
+from spheretorus.parser import (
+    MAX_NESTING,
+    ParseError,
+    _tokenize,
+    fold,
+    parse,
+    parse_expr,
+)
 
 
 @pytest.fixture
@@ -148,3 +156,79 @@ def test_worst_nesting_folds_within_the_recursion_limit(ctx):
     powers = [f"u^{k}" for k in range(MAX_NESTING)] + [f"u^{MAX_NESTING + 1}"]
     assert parse_expr(src, ctx) == parse_expr(" + ".join(powers), ctx)
 
+
+
+def _reference_tokenize(src):
+    """The character-by-character scanner the regex tokenizer replaced:
+    (kind, text, pos) triples, or the ParseError (message, pos)."""
+    digits = "0123456789"
+    tokens = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        j = i + 1
+        if c.isalpha():
+            while j < n and src[j].isalpha():
+                j += 1
+            tokens.append(("NAME", src[i:j], i))
+        elif c in digits:
+            while j < n and src[j] in digits:
+                j += 1
+            if j + 1 < n and src[j] == "." and src[j + 1] in digits:
+                j += 2
+                while j < n and src[j] in digits:
+                    j += 1
+            tokens.append(("NUM", src[i:j], i))
+        elif c in "+-*^()[],'":
+            tokens.append((c, c, i))
+        else:
+            return (f"unexpected character {c!r} at position {i}", i)
+        i = j
+    return tokens + [("END", "", n)]
+
+
+def _tokens(src):
+    try:
+        return [(t.kind, t.text, t.pos) for t in _tokenize(src)]
+    except ParseError as exc:
+        return (str(exc), exc.pos)
+
+
+# ASCII tokens, and characters on each side of every str test the scanner
+# makes: Unicode spaces, letters, marks, decimal digits that are not ASCII,
+# and numerics that are not decimal
+_ALPHABET = (list("xyzwuapmdeis 0123456789.+-*^()[],'_/\t\n") +
+             ["\u00b2", "\u0661", "\u00bd", "\u00e9", "\u0301", "\u00a0",
+              "\u2003", "\u216b", "\u2460", "\u0663", "\x1c", "\x85",
+              "\U0001d7d9", "\u01c5", "\u3000", "\x00", "\u00df"])
+
+
+def test_tokenize_matches_the_character_scanner():
+    rng = random.Random(11)
+    texts = ["".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 10)))
+             for _ in range(20000)]
+    texts += [c + tail for c in _ALPHABET for tail in ("", " ", "x", "1")]
+    for src in texts:
+        assert _tokens(src) == _reference_tokenize(src), repr(src)
+
+
+def test_every_letter_and_space_is_read_as_the_scanner_reads_it():
+    chars = [chr(cp) for cp in range(0x110000)]
+    letters = [c for c in chars if c.isalpha()]
+    spaces = "".join(c for c in chars if c.isspace())
+    assert len(letters) > 100000 and len(spaces) == 29
+    src = " ".join(letters)
+    assert _tokens(src) == _reference_tokenize(src)
+    src = "u" + spaces + "2" + spaces
+    assert _tokens(src) == [("NAME", "u", 0), ("NUM", "2", 30), ("END", "", 60)]
+
+
+def test_syntax_tree_nodes_compare_by_value():
+    tree = parse("[x, 2]' - y^-3")
+    assert tree == parse("[x, 2]' - y^-3")
+    assert tree != parse("[x, 2]' - y^3")
+    assert repr(parse("-x")) == "Neg(arg=Name(id='x', pos=1), pos=0)"
+    assert repr(_tokenize("u")[0]) == "Token(kind='NAME', text='u', pos=0)"
