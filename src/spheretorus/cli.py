@@ -164,7 +164,7 @@ _SPEC_FLAGS = {
 
 
 def _resolve_spec(args, family: str) -> ReprSpec:
-    _require(args, *_SPEC_FLAGS.get(family, ()))
+    _require(args, *_SPEC_FLAGS[family])
     from .reps import ReprSpec
 
     if family == "s2min":
@@ -185,15 +185,8 @@ def _resolve_spec(args, family: str) -> ReprSpec:
             bp = math.pi if win.kind == "full" else 0.5 * (win.lo + win.hi)
         return ReprSpec(Family.T2, args.R, args.n, TWO_PI * args.k / args.n,
                         bp, k=args.k, nu=_nu(args))
-    if family == "t2window":
-        if args.n % 2 == 0 or args.n < 3:
-            raise InvalidSpec(
-                f"window dimension must be odd and >= 3, got {args.n}"
-            )
-        bp = math.pi if args.beta_prime is None else args.beta_prime
-        return ReprSpec(Family.T2WINDOW, args.R, args.n, args.alpha, bp,
-                        M=(args.n - 1) // 2)
-    raise InvalidSpec(f"unknown family {family!r}")
+    bp = math.pi if args.beta_prime is None else args.beta_prime
+    return ReprSpec(Family.T2WINDOW, args.R, args.n, args.alpha, bp)
 
 
 def _build_target(args, family: str):
@@ -350,20 +343,27 @@ def _cmd_verify(args) -> int:
                                     f"{tol:.6e}")
 
 
-def _cmd_reduce(args) -> int:
-    ctx = AlgebraContext(args.R)
-    nf = parse_expr(args.expr, ctx)
-    rendered = str(nf)
+def _print_form(args, nf) -> int:
+    """Print a normal form; one past Python's int/str digit limit is a
+    domain failure."""
+    try:
+        rendered = str(nf)
+    except ValueError:
+        raise DomainError(f"result has an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits, too long "
+                          f"to print") from None
     _print_doc(args, rendered, [rendered], compact=True)
     return 0
+
+
+def _cmd_reduce(args) -> int:
+    return _print_form(args, parse_expr(args.expr, AlgebraContext(args.R)))
 
 
 def _cmd_poisson(args) -> int:
     ctx = AlgebraContext(args.R)
-    bracket = parse_expr(args.f, ctx).poisson(parse_expr(args.g, ctx))
-    rendered = str(bracket)
-    _print_doc(args, rendered, [rendered], compact=True)
-    return 0
+    f, g = parse_expr(args.f, ctx), parse_expr(args.g, ctx)
+    return _print_form(args, f.poisson(g))
 
 
 def _parse_R_range(args) -> List[float]:

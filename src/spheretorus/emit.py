@@ -137,13 +137,10 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
         beta_prime=float(_field(doc, "beta_prime")),
         k=None if doc.get("k") is None else int(_field(doc, "k", kinds="i")),
         nu=nu,
-        M=(n - 1) // 2 if fam == Family.T2WINDOW else None,
         # keep the stored deformation value authoritative so that
         # emit -> load -> emit is byte-identical
         eps_value=float(_field(doc, "eps")),
     )
-    if spec.n != n:
-        raise InvalidSpec(f"window dimension must be odd, got n={n}")
     return ReprMatrices(spec, matrix("u"), matrix("ap"), matrix("am"))
 
 
@@ -207,11 +204,7 @@ def emit_diagram_svg(spec: ReprSpec) -> str:
     """
     R, n, alpha, bp = spec.R, spec.n, spec.alpha, spec.beta_prime
     closed = spec.family in (Family.T2, Family.T2WINDOW, Family.NC_TORUS)
-    if spec.family == Family.T2WINDOW:
-        half = (n - 1) // 2
-        ms = range(-half, half + 1)
-    else:
-        ms = range(n)
+    lo = -spec.M if spec.family == Family.T2WINDOW else 0
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="440" height="440" '
@@ -238,7 +231,7 @@ def emit_diagram_svg(spec: ReprSpec) -> str:
                 'fill="#f3d6d6" stroke="none"/>'
             )
 
-    points = [_pt(bp + m * alpha) for m in ms]
+    points = [_pt(bp + m * alpha) for m in range(lo, lo + n)]
     tag = "polygon" if closed else "polyline"
     parts.append(
         f'<{tag} points="{" ".join(points)}" fill="none" stroke="#1f77b4" '

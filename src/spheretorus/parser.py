@@ -251,7 +251,7 @@ class _Parser:
                     raise ParseError(
                         "exponent must be an integer", num.pos, ("an integer",)
                     )
-                node = Pow(node, sign * int(num.text), tok.pos)
+                node = Pow(node, sign * _literal(int, num), tok.pos)
             else:
                 return node
 
@@ -267,7 +267,7 @@ class _Parser:
             )
         if tok.kind == "NUM":
             self.advance()
-            return Num(Fraction(tok.text), tok.pos)
+            return Num(_literal(Fraction, tok), tok.pos)
         if tok.kind == "(":
             self.advance()
             node = self.expr()
@@ -283,6 +283,16 @@ class _Parser:
         raise ParseError(
             f"unexpected {_describe(tok)}", tok.pos, _ATOM_EXPECTED
         )
+
+
+def _literal(convert, tok: Token):
+    """A NUM token's value; a literal past Python's int/str digit limit
+    (sys.get_int_max_str_digits) is a parse error at the token."""
+    try:
+        return convert(tok.text)
+    except ValueError:
+        raise ParseError(f"number literal of {len(tok.text)} characters is "
+                         f"too long", tok.pos) from None
 
 
 def _describe(tok: Token) -> str:

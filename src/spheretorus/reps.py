@@ -61,10 +61,11 @@ def _wrap_half_open(x: float, lo: float, period: float = TWO_PI) -> float:
 class ReprSpec:
     """Parameters selecting one representation.
 
-    ``n`` is the dimension (for T2WINDOW it is derived as 2*M + 1).  For a
-    finite torus ``alpha`` is derived from ``k`` as 2*pi*k/n.  ``beta_prime``
-    is normalized into (-2*pi, 0] for sphere chains and (pi - 2*pi/n, pi]
-    for finite-torus cycles.
+    ``n`` is the dimension; a T2WINDOW's is odd and >= 3, with half-width
+    ``M`` = (n - 1) // 2 (a given ``M`` sets n = 2*M + 1).  For a finite
+    torus ``alpha`` is derived from ``k`` as 2*pi*k/n.  ``beta_prime`` is
+    normalized into (-2*pi, 0] for sphere chains and (pi - 2*pi/n, pi] for
+    finite-torus cycles.
     """
 
     family: Family
@@ -87,8 +88,13 @@ class ReprSpec:
             raise InvalidSpec(f"unknown family {self.family!r}") from None
         if self.family == Family.T2 and self.k is not None:
             set_(self, "alpha", TWO_PI * self.k / self.n)
-        if self.family == Family.T2WINDOW and self.M is not None:
-            set_(self, "n", 2 * self.M + 1)
+        if self.family == Family.T2WINDOW:
+            if self.M is not None:
+                set_(self, "n", 2 * self.M + 1)
+            if self.n % 2 == 0 or self.n < 3:
+                raise InvalidSpec(
+                    f"window dimension must be odd and >= 3, got {self.n}")
+            set_(self, "M", (self.n - 1) // 2)
         if not 0.0 < self.alpha < math.pi:
             raise InvalidSpec(f"alpha must lie in (0, pi), got {self.alpha!r}")
         if self.n < 1:
@@ -241,8 +247,6 @@ def build_t2_window(spec: ReprSpec) -> ReprMatrices:
     """
     if spec.family != Family.T2WINDOW:
         raise InvalidSpec(f"build_t2_window cannot build {spec.family.value!r}")
-    if spec.M is None:
-        raise InvalidSpec("window build needs the half-width M")
     sec = 1.0 / math.cos(0.5 * spec.alpha)
     if spec.R < sec:
         raise InvalidSpec(

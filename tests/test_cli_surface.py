@@ -151,6 +151,39 @@ def test_zero_denominator_is_a_usage_error():
                                         "invalid Fraction value: '1/0'"}
 
 
+@pytest.mark.parametrize("command", ["build", "verify", "diagram"])
+@pytest.mark.parametrize("n", ["1", "4"])
+def test_window_dimension_must_be_odd(command, n):
+    argv = [command, "t2window", "--R", "1.5", "--n", n, "--alpha", "0.9"]
+    error = f"window dimension must be odd and >= 3, got {n}"
+    assert _run(argv) == (1, "", json.dumps({"error": error},
+                                            separators=(",", ":")) + "\n")
+
+
+_LONG = "7" * 5000  # past Python's default 4300-digit int/str limit
+_HALF = "7" * 3000  # its square prints 6000 digits
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["reduce", "--R", "0", "--expr", _LONG], 2,
+     "number literal of 5000 characters is too long at position 0"),
+    (["reduce", "--R", "0", "--expr", "1." + _LONG], 2,
+     "number literal of 5002 characters is too long at position 0"),
+    (["reduce", "--R", "0", "--expr", "x^" + _LONG], 2,
+     "number literal of 5000 characters is too long at position 2"),
+    (["poisson", "--R", "0", "--f", f"x*{_LONG}", "--g", "y"], 2,
+     "number literal of 5000 characters is too long at position 2"),
+    (["reduce", "--R", "0", "--expr", f"{_HALF}*{_HALF}"], 1,
+     "result has an integer of more than 4300 digits, too long to print"),
+    (["poisson", "--R", "0", "--f", f"{_HALF}*{_HALF}*x", "--g", "y"], 1,
+     "result has an integer of more than 4300 digits, too long to print"),
+], ids=["literal", "decimal", "exponent", "poisson-literal", "reduce-result",
+        "poisson-result"])
+def test_numbers_past_the_digit_limit_end_in_a_record(argv, code, error):
+    assert _run(argv) == (code, "", json.dumps({"error": error},
+                                               separators=(",", ":")) + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["slice", "--R=0", "--grid=--"],
     ["build", "t2", "--R=3", "--n=5", "--k=--"],
@@ -255,3 +288,75 @@ def test_every_argv_ends_in_an_exit_code(argv):
     if code and not text:
         record = json.loads(err.splitlines()[-1])
         assert isinstance(record, dict) and "error" in record, argv
+
+
+# document fuzzing ------------------------------------------------------------
+#
+# verify FILE on one small s2min document with each field replaced by a
+# wrong value, plus broken text and windows of a dimension the CLI refuses.
+
+_VALUES = {"null": "null", "true": "true", "str": '"x"', "list": "[]",
+           "obj": "{}", "1e400": "1e400", "nan": "NaN", "neg": "-1",
+           "zero": "0", "2**70": str(2 ** 70), "ragged": "[[1, 2], [3]]",
+           "deep": "[" * 200 + "]" * 200}
+_FIELDS = ("n", "R", "alpha", "beta_prime", "eps", "k", "nu", "family",
+           "matrices")
+# fields that do not enter an s2min chain's residuals: the document still
+# verifies with these values
+_ACCEPTED = {("beta_prime", "neg"), ("beta_prime", "zero"), ("k", "null"),
+             ("k", "neg"), ("k", "zero")}
+
+
+def _base_document():
+    code, out, err = _run(["build", "s2min", "--R", "0.5", "--n", "3"])
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def _with_field(field, value):
+    doc = dict(_base_document(), **{field: "@@"})
+    return json.dumps(doc).replace('"@@"', value)
+
+
+def _window(n):
+    """A 3-dimensional window document cut or zero-padded to n x n."""
+    code, out, _ = _run(["build", "t2window", "--R", "1.5", "--n", "3",
+                         "--alpha", "0.9"])
+    doc = json.loads(out)
+    doc["n"] = n
+    for name, rows in doc["matrices"].items():
+        rows = [row[:n] + [[0.0, 0.0]] * (n - len(row)) for row in rows[:n]]
+        doc["matrices"][name] = rows + [[[0.0, 0.0]] * n] * (n - len(rows))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("field, name", [
+    (field, name) for field in _FIELDS for name in _VALUES])
+def test_every_document_ends_in_an_exit_code(field, name, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(_with_field(field, _VALUES[name]), encoding="utf-8")
+    code, out, err = _run(["verify", str(path)])
+    if (field, name) in _ACCEPTED:
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+        return
+    assert code in (1, 2)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("text, error", [
+    (lambda: json.dumps(_base_document())[:-40], "not a JSON document"),
+    (lambda: "[" + json.dumps(_base_document()) + "]",
+     "a representation document is a JSON object"),
+    (lambda: "", "not a JSON document"),
+    (lambda: "[" * 10 ** 5 + "]" * 10 ** 5, "not a JSON document"),
+    (lambda: _window(1), "window dimension must be odd and >= 3, got 1"),
+    (lambda: _window(4), "window dimension must be odd and >= 3, got 4"),
+], ids=["truncated", "array", "empty", "nested", "window-n1", "window-n4"])
+def test_broken_documents_exit_1(text, error, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(text(), encoding="utf-8")
+    code, out, err = _run(["verify", str(path)])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"].startswith(error)

@@ -203,8 +203,22 @@ def test_window_build_validation():
         build_t2_window(
             ReprSpec(Family.T2WINDOW, 2.0, 0, TWO_PI / 6, math.pi, M=8))
     assert "rational" in str(err.value)
-    with pytest.raises(InvalidSpec):  # missing half-width
-        build_t2_window(ReprSpec(Family.T2WINDOW, 2.0, 9, 0.9, math.pi))
+    # the spec alone decides the shape: an odd n >= 3 gives M = (n - 1) // 2
+    spec = ReprSpec(Family.T2WINDOW, 1.5, 9, 0.9, math.pi)
+    assert spec.M == 4
+    by_n = build_t2_window(spec)
+    by_M = build_t2_window(ReprSpec(Family.T2WINDOW, 1.5, 0, 0.9, math.pi,
+                                    M=4))
+    for got, want in zip(by_n.diags, by_M.diags):
+        assert list(got.d) == list(want.d)
+        for a in want.d:
+            assert np.array_equal(got.d[a], want.d[a])
+    # even n, n < 3 and M = 0 (n = 1) are one error, raised before alpha
+    for n, M in ((8, None), (1, None), (-3, None), (0, 0)):
+        shown = n if M is None else 2 * M + 1
+        with pytest.raises(InvalidSpec, match=rf"^window dimension must be "
+                           rf"odd and >= 3, got {shown}$"):
+            ReprSpec(Family.T2WINDOW, 2.0, n, 9.0, math.pi, M=M)
 
 
 def test_representation_respects_adjoints():
