@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .errors import ChartDomainError, DomainError
+from .errors import ChartDomainError, DomainError, SpheretorusError
 
 from .epsring import (
     CRat,
@@ -66,11 +66,11 @@ def _terms_str(terms: dict) -> str:
     return " + ".join(chunks)
 
 
-class ContextMismatch(ValueError):
+class ContextMismatch(SpheretorusError, ValueError):
     """Operands belong to algebras with different deformation families."""
 
 
-class UnknownGenerator(ValueError):
+class UnknownGenerator(SpheretorusError, ValueError):
     """Requested generator name is not part of the algebra."""
 
 

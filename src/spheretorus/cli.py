@@ -3,9 +3,11 @@
 Subcommands: topology, slice, solve-min-s2, enum-s2, t2-window, classify,
 build, verify, reduce, poisson, sweep, diagram.  Exit codes: 0 on success,
 1 on domain errors (including non-existence, and results that overflow to
-a non-finite number), 2 on usage or expression parse errors.  Errors go to
-standard error, as JSON unless --format text; usage errors always as JSON.
-Sizes are capped (MAX_DIM, MAX_GRID, MAX_SWEEP) before anything is built.
+a non-finite number), 2 on usage or expression parse errors.  A failure
+is a SpheretorusError carrying its exit code; _fail() writes its one
+record to standard error, as JSON unless --format text (usage errors
+always as JSON), cut to MAX_MESSAGE characters.  Sizes are capped
+(MAX_DIM, MAX_GRID, MAX_SWEEP) before anything is built.
 The only environment variable honored is NO_COLOR (suppresses ANSI codes
 in text output; JSON/CSV/SVG are never colored).
 
@@ -27,7 +29,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .algebra import AlgebraContext, ContextMismatch, UnknownGenerator
+from .algebra import AlgebraContext
 from .classify import (
     Family,
     SolutionRecord,
@@ -38,17 +40,18 @@ from .classify import (
     sweep_regions,
     t2_beta_window,
 )
-from .epsring import NotDivisible
-from .errors import DomainError, InvalidSpec
+from .errors import DomainError, SpheretorusError, UsageError
 from .geometry import slice_curve, topology_of
 from .jsontext import render_json, render_json_compact
-from .parser import ParseError, parse_expr
+from .parser import parse_expr
 
 TWO_PI = 2.0 * math.pi
 # size caps; the dense matrices of a `build` document are 805 MB at MAX_DIM
 MAX_DIM = 4096
 MAX_GRID = 65536
 MAX_SWEEP = 1024
+# longest error message written; a longer one is cut and ends in "..."
+MAX_MESSAGE = 240
 
 _NO_BETA = "no admissible beta': below the finite-torus threshold"
 _BUILD_FAMILIES = tuple(family.value for family in Family)
@@ -69,15 +72,18 @@ def _tnum(x: Optional[float]) -> str:
     return "" if x is None else "%.12g" % x
 
 
-def _fail(args, message: str, payload: Optional[dict] = None) -> int:
-    if getattr(args, "format", None) == "text":
+def _fail(args, exc: SpheretorusError) -> int:
+    """Write the one error record of a failure; return its exit code."""
+    message = str(exc)
+    if len(message) > MAX_MESSAGE:
+        message = message[:MAX_MESSAGE] + "..."
+    if getattr(args, "format", None) == "text" and \
+            not isinstance(exc, UsageError):
         sys.stderr.write(_paint(f"error: {message}", "31", sys.stderr) + "\n")
     else:
-        doc = {"error": message}
-        if payload:
-            doc.update(payload)
-        sys.stderr.write(render_json_compact(doc) + "\n")
-    return 1
+        sys.stderr.write(render_json_compact(
+            {"error": message, **(exc.record or {})}) + "\n")
+    return exc.exit_code
 
 
 def _print_doc(args, doc: dict, text_lines: List[str], compact: bool = False) -> None:
@@ -229,7 +235,7 @@ def _cmd_slice(args) -> int:
 def _cmd_solve_min_s2(args) -> int:
     rec = solve_minimal_s2(args.R, args.n, tol=args.tol)
     if not rec.exists:
-        return _fail(args, rec.reject_reason, _record_doc(rec))
+        raise DomainError(rec.reject_reason, _record_doc(rec))
     _print_doc(args, _record_doc(rec), [_record_line(rec, sys.stdout)])
     return 0
 
@@ -267,7 +273,7 @@ def _cmd_t2_window(args) -> int:
         "delta": win.delta,
     }
     if win.kind == "none":
-        return _fail(args, _NO_BETA, doc)
+        raise DomainError(_NO_BETA, doc)
     line = (f"kind={win.kind} beta_lo={_tnum(win.lo)} "
             f"beta_hi={_tnum(win.hi)} delta={_tnum(win.delta)}")
     _print_doc(args, doc, [line])
@@ -339,8 +345,9 @@ def _cmd_verify(args) -> int:
     lines = [f"{key} {residuals[key]:.6e}" for key in sorted(residuals)]
     lines.append(f"max {worst:.6e} tol {tol:.6e} {verdict}")
     _print_doc(args, doc, lines)
-    return 0 if ok else _fail(args, f"max residual {worst:.6e} exceeds tol "
-                                    f"{tol:.6e}")
+    if not ok:
+        raise DomainError(f"max residual {worst:.6e} exceeds tol {tol:.6e}")
+    return 0
 
 
 def _print_form(args, nf) -> int:
@@ -382,7 +389,9 @@ def _parse_R_range(args) -> List[float]:
         if count == 1:
             return [lo]
         step = (hi - lo) / (count - 1)
-        return [lo + i * step for i in range(count)]
+        values = [lo + i * step for i in range(count)]
+        if all(map(math.isfinite, values)):  # hi - lo may overflow
+            return values
     except ValueError:
         pass
     args._parser.error(f"--R must be a number or lo:hi:count with "
@@ -453,15 +462,15 @@ def _fraction(text: str) -> Fraction:
 
 
 _dim = _bounded_int(1, MAX_DIM)
+# every residue k mod n of an n <= MAX_DIM lies in this range
+_winding = _bounded_int(-MAX_DIM, MAX_DIM)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors go to stderr as a JSON error record, exit code 2."""
+    """Usage errors raise UsageError (exit code 2) instead of exiting."""
 
     def error(self, message):
-        sys.stderr.write(render_json_compact(
-            {"error": f"{self.prog}: {message}"}) + "\n")
-        raise SystemExit(2)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _flag(name: str, **kwargs):
@@ -505,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the five flags that pick a representation, for build, verify, diagram
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--n", type=_dim, help="matrix dimension")
-    spec.add_argument("--k", type=int, help="winding integer k")
+    spec.add_argument("--k", type=_winding, help="winding integer k")
     spec.add_argument("--alpha", type=_finite_float, help="angle step alpha")
     spec.add_argument("--beta-prime", type=_finite_float,
                       help="angle offset beta'")
@@ -532,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         "admissible beta' window for the finite torus at (R, n, k)",
         _R, _JSON_TEXT,
         _flag("--n", type=_dim, required=True, help="cycle length"),
-        _flag("--k", type=int, required=True, help="winding integer"))
+        _flag("--k", type=_winding, required=True, help="winding integer"))
     new("classify", _cmd_classify,
         "classify the (R, eps) parameter point and its families",
         _R, _flag("--eps", type=_finite_float, required=True,
@@ -575,6 +584,7 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    args = None
     try:
         args = _shared_parser().parse_args(argv)
         for dest, value in vars(args).items():
@@ -582,18 +592,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args._parser.error(f"argument --{dest.replace('_', '-')}: "
                                    f"expected one argument")
         return args.func(args)
-    except SystemExit as exc:
-        # argparse reports usage problems by raising SystemExit(2); fold
-        # them back into the return-code contract
-        return exc.code if isinstance(exc.code, int) else 2
-    except ParseError as exc:
-        _fail(args, str(exc))
-        return 2
-    except (DomainError, InvalidSpec, ContextMismatch, UnknownGenerator,
-            NotDivisible) as exc:
-        return _fail(args, str(exc))
+    except SystemExit as exc:  # --help
+        return exc.code
+    except SpheretorusError as exc:
+        return _fail(args, exc)
     except OSError as exc:
-        return _fail(args, f"i/o error: {exc}")
+        return _fail(args, SpheretorusError(f"i/o error: {exc}"))
 
 
 if __name__ == "__main__":

@@ -40,8 +40,10 @@ from itertools import chain, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Optional, Tuple, Union
 
+from .errors import SpheretorusError
 
-class NotDivisible(ArithmeticError):
+
+class NotDivisible(SpheretorusError, ArithmeticError):
     """Exact division failed (nonzero remainder or non-unit divisor)."""
 
 

@@ -28,9 +28,12 @@ from typing import List, Optional, Tuple, Union
 
 from .algebra import GENERATOR_TERMS, AlgebraContext, NormalForm
 from .epsring import CR_I, NotDivisible
+from .errors import SpheretorusError
 
 
-class ParseError(ValueError):
+class ParseError(SpheretorusError, ValueError):
+    exit_code = 2
+
     def __init__(self, message: str, pos: int, expected: Tuple[str, ...] = ()):
         self.pos = pos
         self.expected = expected

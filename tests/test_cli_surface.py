@@ -3,20 +3,28 @@
 cli_help.golden holds the --help text of the root parser and of the 12
 subcommands at COLUMNS=80, and USAGE_ERRORS the JSON record of each usage
 error, both taken from the parser as it stood before it was built once per
-process.  Every argv, valid or not, must end in exit 0, 1 or 2 and never
-in a traceback.
+process; its last rows pin the bound on --k, a sweep step that overflows
+and messages cut to MAX_MESSAGE.  Every argv, valid or not, must end in
+exit 0, 1 or 2 and never in a traceback, and every error class of the
+package must reach the one record writer.
 """
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import pathlib
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spheretorus
 from spheretorus import cli
+from spheretorus.errors import SpheretorusError, UsageError
+from spheretorus.parser import ParseError
 
 COMMANDS = ("topology", "slice", "solve-min-s2", "enum-s2", "t2-window",
             "classify", "build", "verify", "reduce", "poisson", "sweep",
@@ -41,6 +49,16 @@ def test_help_text_is_pinned(monkeypatch):
     assert "\n".join(parts) == golden.read_text(encoding="utf-8")
 
 
+_LONG = "7" * 5000  # past Python's default 4300-digit int/str limit
+_HALF = "7" * 3000  # its square prints 6000 digits
+
+
+def _cut(prefix):
+    """The message of an error that echoes a run of 7s past MAX_MESSAGE."""
+    return prefix + "7" * (cli.MAX_MESSAGE - len(prefix)) + "..."
+
+
+_K_BOUND = "argument --k: must lie in [-4096, 4096], got "
 USAGE_ERRORS = [
     ([], "spheretorus: the following arguments are required: command"),
     (["no-such-command"],
@@ -101,13 +119,58 @@ USAGE_ERRORS = [
     (["sweep", "--n", "5", "--R=0.5:2:0"],
      "spheretorus sweep: --R must be a number or lo:hi:count with 1 <= "
      "count <= 1024, got '0.5:2:0'"),
+    # a step that overflows is refused like a malformed range
+    (["sweep", "--n", "5", "--R=1e308:-1e308:3"],
+     "spheretorus sweep: --R must be a number or lo:hi:count with 1 <= "
+     "count <= 1024, got '1e308:-1e308:3'"),
+    (["sweep", "--n", "5", "--R=-1e308:1e308:3"],
+     "spheretorus sweep: --R must be a number or lo:hi:count with 1 <= "
+     "count <= 1024, got '-1e308:1e308:3'"),
+    (["sweep", "--n", "5",
+      "--R=-8.988465674311579e307:8.988465674311579e307:4"],
+     "spheretorus sweep: --R must be a number or lo:hi:count with 1 <= "
+     "count <= 1024, got '-8.988465674311579e307:8.988465674311579e307:4'"),
+    # --k is bounded like --n; before, these overflowed or ran
+    (["build", "nc-torus", "--n", "5", "--k", "5001"],
+     "spheretorus build: " + _K_BOUND + "5001"),
+    (["t2-window", "--R", "1", "--n", "5", "--k", "5000"],
+     "spheretorus t2-window: " + _K_BOUND + "5000"),
+    (["build", "nc-torus", "--n", "5", "--k", _LONG[:400]],
+     _cut("spheretorus build: " + _K_BOUND)),
+    (["verify", "nc-torus", "--n", "5", "--k", _LONG[:400]],
+     _cut("spheretorus verify: " + _K_BOUND)),
+    (["build", "t2", "--R", "3", "--n", "5", "--k", _LONG[:400],
+      "--beta-prime", "1"], _cut("spheretorus build: " + _K_BOUND)),
+    (["verify", "t2", "--R", "3", "--n", "5", "--k", _LONG[:400],
+      "--beta-prime", "1"], _cut("spheretorus verify: " + _K_BOUND)),
+    (["diagram", "t2", "--R", "3", "--n", "5", "--k", _LONG[:400],
+      "--beta-prime", "1"], _cut("spheretorus diagram: " + _K_BOUND)),
+    (["t2-window", "--R", "1", "--n", "5", "--k", _LONG[:400]],
+     _cut("spheretorus t2-window: " + _K_BOUND)),
+    # over-long values are cut where the record is written
+    (["reduce", "--R", _LONG, "--expr", "x"],
+     _cut("spheretorus reduce: argument --R: invalid Fraction value: '")),
+    (["build", _LONG[:300]],
+     _cut("spheretorus build: argument family: invalid choice: '")),
+    (["verify", _LONG[:300]], _cut("spheretorus verify: target '")),
+    (["topology", "--R", "1", "--" + _LONG[:300]],
+     _cut("spheretorus: unrecognized arguments: --")),
+    (["build", "s2min", "--n", _LONG[:300]],
+     _cut("spheretorus build: argument --n: must lie in [1, 4096], got ")),
 ]
 
 
 @pytest.mark.parametrize("argv, error", USAGE_ERRORS)
 def test_usage_error_records_are_pinned(argv, error):
+    assert len(error) <= cli.MAX_MESSAGE + len("...")
     assert _run(argv) == (2, "", json.dumps({"error": error},
                                             separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("k", ["-4096", "4096"])
+def test_winding_bound_is_inclusive(k):
+    code, out, err = _run(["build", "nc-torus", "--n", "5", "--k", k])
+    assert (code, err) == (0, "") and json.loads(out)["k"] == int(k)
 
 
 def test_repeated_calls_share_no_state():
@@ -160,10 +223,6 @@ def test_window_dimension_must_be_odd(command, n):
                                             separators=(",", ":")) + "\n")
 
 
-_LONG = "7" * 5000  # past Python's default 4300-digit int/str limit
-_HALF = "7" * 3000  # its square prints 6000 digits
-
-
 @pytest.mark.parametrize("argv, code, error", [
     (["reduce", "--R", "0", "--expr", _LONG], 2,
      "number literal of 5000 characters is too long at position 0"),
@@ -198,6 +257,61 @@ def test_double_dash_value_is_a_usage_error(argv):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert "error" in json.loads(err)
+
+
+# one error path --------------------------------------------------------------
+
+
+def _error_classes():
+    """Every exception class defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(spheretorus.__path__):
+        module = importlib.import_module(f"spheretorus.{info.name}")
+        found += [obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+ERROR_CLASSES = _error_classes()
+
+
+def test_every_package_error_derives_from_the_root():
+    names = [cls.__name__ for cls in ERROR_CLASSES]
+    assert {"ChartDomainError", "ContextMismatch", "DomainError",
+            "InvalidSpec", "NotDivisible", "ParseError", "SpheretorusError",
+            "UnknownGenerator", "UsageError"} <= set(names)
+    for cls in ERROR_CLASSES:
+        assert issubclass(cls, SpheretorusError), cls
+        assert cls.exit_code in (1, 2), cls
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_writes_one_record(cls, fmt, monkeypatch):
+    exc = cls("boom", 0) if cls is ParseError else cls("boom")
+    monkeypatch.setattr(cli, "topology_of", _raise(exc))
+    code, out, err = _run(["topology", "--R", "1", "--format", fmt])
+    assert (code, out) == (cls.exit_code, "")
+    assert len(err.splitlines()) == 1
+    if fmt == "text" and not issubclass(cls, UsageError):
+        assert err == f"error: {exc}\n"
+    else:
+        assert json.loads(err) == {"error": str(exc)}
+
+
+@pytest.mark.parametrize("fmt, record", [
+    ("json", '{"error":"boom","R":1}\n'), ("text", "error: boom\n")])
+def test_a_record_follows_the_message(fmt, record, monkeypatch):
+    monkeypatch.setattr(cli, "topology_of", _raise(
+        cli.DomainError("boom", {"R": 1})))
+    assert _run(["topology", "--R", "1", "--format", fmt]) == (1, "", record)
 
 
 # argv fuzzing ----------------------------------------------------------------
