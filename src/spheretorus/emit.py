@@ -4,7 +4,8 @@ All numbers are serialized with 17 significant digits, so emit -> load ->
 emit is byte-identical and loaded matrices reproduce residuals exactly.
 One renderer, ``jsontext``, writes both the pretty and the compact JSON;
 this module re-exports ``render_json`` and ``render_json_compact``.
-Representation documents hold their matrices as complex ndarrays.
+Representation documents hold their matrices as complex ndarrays, and
+``load_rep_json`` reads its own text back from the nonzero entries.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import csv
 import io
 import json
 import math
+import re
+from itertools import accumulate
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .classify import SweepRow
 from .errors import InvalidSpec
-from .jsontext import render_json, render_json_compact
+from .jsontext import _block, _quote, render_json, render_json_compact
 from .reps import (
     Family,
     NcTorusPair,
@@ -85,19 +88,85 @@ def emit_nc_torus_json(u: np.ndarray, v: np.ndarray, n: int, k: int,
     return render_json(nc_torus_document(u, v, n, k, beta, nu))
 
 
+def _head(value, width: int = 40) -> str:
+    """repr(value)[:width], without the whole repr of a long list or dict."""
+    if not isinstance(value, (list, dict)):
+        return repr(value)[:width]
+    pairs = isinstance(value, dict)
+    out = "{" if pairs else "["
+    for item in value.items() if pairs else value:
+        if len(out) >= width:
+            break
+        rest = width - len(out)  # a child cut short fills out past width
+        out += (", " if len(out) > 1 else "") + (
+            _head(item[0], rest) + ": " + _head(item[1], rest) if pairs
+            else _head(item, rest))
+    return (out + ("}" if pairs else "]"))[:width]
+
+
 def _field(doc: dict, key: str, shape: tuple = (), kinds: str = "iuf") -> np.ndarray:
     """doc[key] as an array of that shape and dtype kind, with finite entries."""
+    value = doc.get(key)
+    if not shape and (type(value) is int and -2**63 <= value < 2**63 or
+                      type(value) is float and "f" in kinds and math.isfinite(value)):
+        return value  # passes the checks below as it is
     try:
-        arr = np.array(doc.get(key))
+        arr = np.asarray(value)
     except ValueError:
         arr = None  # ragged nesting
     if arr is None or arr.shape != shape or arr.dtype.kind not in kinds:
         want = (f"an array of shape {shape}" if shape
                 else "an integer" if kinds == "i" else "a number")
-        raise InvalidSpec(f"field {key!r} must be {want}, got {doc.get(key)!r:.40}")
-    if not np.isfinite(arr).all():
+        raise InvalidSpec(f"field {key!r} must be {want}, got {_head(value)}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise InvalidSpec(f"field {key!r} holds a non-finite number")
     return arr
+
+
+_MATRICES = '\n  "matrices": '
+_KEY = re.compile(r'\n    "(\w+)": \[\n')
+# an entry other than [0, 0]: two numbers that float() reads, with no inf or nan
+_NUM = r"(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?)"
+_ENTRY = re.compile(rf"\[(?!0, 0\]){_NUM}, {_NUM}\]")
+
+
+def _band_doc(text: str) -> Optional[dict]:
+    """json.loads(text) with each matrix an (n, n, 2) array read from its
+    entries other than [0, 0]; None unless text has render_json's layout.
+
+    The header is parsed with the matrices value cut to {}, which with no
+    backslash and one '"matrices"' is the top-level value.  The block must
+    render itself: with its entries put back to [0, 0] it is zero matrices,
+    and each number is written as render_json writes it (finite, never -0).
+    """
+    start = text.find(_MATRICES) + len(_MATRICES)
+    end = text.find("\n  }", start) + 4
+    head = text[:start] + "{}" + text[end:]
+    if start < len(_MATRICES) or "\\" in head or head.count('"matrices"') != 1:
+        return None
+    try:
+        doc = json.loads(head)
+    except (ValueError, RecursionError):
+        return None
+    n = doc.get("n") if isinstance(doc, dict) and doc.get("matrices") == {} else 0
+    if type(n) is not int or not 0 < 8 * n * n <= end - start:
+        return None  # an n x n block takes 8 n^2 characters or more
+    names = _KEY.findall(text, start, end)
+    pieces = _ENTRY.split(text[start:end])  # gap, re, im, gap, re, im, ..., gap
+    zeros = _block("[", ["[" + ("[0, 0], " * n)[:-2] + "]"] * n, "]", "    ")
+    if "-0" in pieces or "[0, 0]".join(pieces[::3]) != _block(
+            "{", [_quote(name) + ": " + zeros for name in names], "}", "  "):
+        return None  # not zero matrices around the entries, or a -0
+    # an entry's flat position counts the [0, 0] and the entries before it
+    index = accumulate([g.count("[0, 0]") + 1 for g in pieces[:-1:3]], initial=-1)
+    del pieces[::3]  # re and im of each entry in turn
+    parts = list(map(float, pieces))
+    if ",".join(pieces) != ("%.17g," * len(parts))[:-1] % tuple(parts):
+        return None
+    flat = np.zeros(len(names) * n * n, dtype=complex)
+    flat.put(list(index)[1:], np.array(parts).view(complex))
+    doc["matrices"] = dict(zip(names, flat.view(float).reshape(-1, n, n, 2)))
+    return doc
 
 
 def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
@@ -105,10 +174,11 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
 
     Missing or mistyped fields, matrices that are not n x n [re, im] pairs
     and non-finite numbers raise InvalidSpec.  Entries off the band load
-    as they are, so that verify reports them in the residuals.
+    as they are, so that verify reports them in the residuals; _band_doc
+    reads this module's own text with the result json.loads would give.
     """
     try:
-        doc = json.loads(text)
+        doc = isinstance(text, str) and _band_doc(text) or json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InvalidSpec(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
@@ -117,12 +187,13 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     try:
         fam = Family(family)
     except ValueError:
-        raise InvalidSpec(f"unknown representation family {family!r:.40}") from None
+        raise InvalidSpec(f"unknown representation family {_head(family)}") from None
     n = int(_field(doc, "n", kinds="i"))
     mats = doc["matrices"] if isinstance(doc.get("matrices"), dict) else {}
 
     def matrix(name: str) -> np.ndarray:
-        return _field(mats, name, (n, n, 2)).astype(float).view(complex)[..., 0]
+        arr = _field(mats, name, (n, n, 2)).astype(float, copy=False)
+        return arr.view(complex)[..., 0]
 
     nu = complex(*_field(doc, "nu", (2,)).tolist())
     if fam == Family.NC_TORUS:

@@ -2,7 +2,7 @@
 
 Numbers are written with 17 significant digits, so emit -> load -> emit is
 byte-identical.  Matrices are complex ndarrays, rendered as rows of
-[re, im] pairs; every zero entry is the constant "[0, 0]", so only the
+[re, im] pairs; a run of zero entries is "[0, 0]" repeated, so only the
 nonzero entries (O(n) of the n^2 in a banded representation) are
 formatted.  This module does not import numpy: ndarrays and numpy scalars
 are recognised through ``sys.modules``, because until numpy has been
@@ -11,9 +11,9 @@ imported no such object can exist.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Union
 
 from .errors import DomainError
@@ -52,16 +52,25 @@ def _inline_list(lst: list) -> bool:
 
 
 def _matrix_rows(mat, sep: str) -> List[str]:
-    """Rows of a 2-D array as "[[re, im], ...]" texts; only nonzeros are formatted."""
+    """Rows of a 2-D array as "[[re, im], ...]" texts; only nonzeros are
+    formatted, and a run of zeros is "[0, 0]" repeated."""
     np = sys.modules["numpy"]
     arr = np.asarray(mat, dtype=complex)
     nrows, ncols = arr.shape
-    zero = "[0" + sep + "0]"
-    rows = [[zero] * ncols for _ in range(nrows)]
-    r_idx, c_idx = np.nonzero(arr)
-    for r, c, v in zip(r_idx.tolist(), c_idx.tolist(), arr[r_idx, c_idx].tolist()):
-        rows[r][c] = "[" + _num_str(v.real) + sep + _num_str(v.imag) + "]"
-    return ["[" + sep.join(row) + "]" for row in rows]
+    index = np.flatnonzero(arr)
+    parts = arr.ravel()[index].view(float) + 0.0  # -0.0 becomes 0.0
+    for bad in parts[~np.isfinite(parts)][:1].tolist():
+        _num_str(bad)  # raises DomainError
+    parts = parts.tolist()
+    zero, entry = "[0" + sep + "0]" + sep, "[%.17g" + sep + "%.17g]" + sep
+    lines: List[list] = [[] for _ in range(nrows)]
+    ends = [0] * nrows
+    for i, re_, im in zip(index.tolist(), parts[::2], parts[1::2]):
+        r, c = divmod(i, ncols)
+        lines[r] += (zero * (c - ends[r]), entry % (re_, im))
+        ends[r] = c + 1
+    return ["[" + ("".join(line) + zero * (ncols - end))[:-len(sep)] + "]"
+            for line, end in zip(lines, ends)]
 
 
 def _block(open_: str, items: List[str], close: str, pad: Optional[str]) -> str:
@@ -69,8 +78,8 @@ def _block(open_: str, items: List[str], close: str, pad: Optional[str]) -> str:
         return open_ + close
     if pad is None:
         return open_ + ",".join(items) + close
-    inner = ",\n".join(pad + "  " + item for item in items)
-    return open_ + "\n" + inner + "\n" + pad + close
+    indent = "\n" + pad + "  "
+    return f"{open_}{indent}{(',' + indent).join(items)}\n{pad}{close}"
 
 
 def _render(obj, pad: Optional[str]) -> str:
@@ -82,7 +91,7 @@ def _render(obj, pad: Optional[str]) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (int, float)):  # not a bool: those returned above
         return _num_str(obj)
     sep = "," if pad is None else ", "
@@ -94,7 +103,7 @@ def _render(obj, pad: Optional[str]) -> str:
         return _block("[", items, "]", pad)
     if isinstance(obj, dict):
         colon = ":" if pad is None else ": "
-        items = [json.dumps(str(k)) + colon + _render(v, child)
+        items = [_quote(str(k)) + colon + _render(v, child)
                  for k, v in obj.items()]
         return _block("{", items, "}", pad)
     if _is_number(obj):  # a numpy scalar
