@@ -1,10 +1,10 @@
 """Parameter-region solvers.
 
-Sphere-type chains of length n exist where the chain equation
-cos(beta') + R*cos(alpha/2) = 0 has solutions compatible with beta' + n*alpha
-landing on the other zero, torus-type cycles where n*alpha is a full number
-of turns and every cycle point clears the forbidden sector, and the region
-of the (R, eps) plane decides which families are available at all.
+A sphere-type chain of length n has |C|^2 zero at both ends and positive in
+between (``chain_reason``); a torus-type cycle has n*alpha a full number of
+turns and |C|^2 positive at every point (``cycle_reason``).  The enumerator,
+``t2_beta_window`` and the ``reps`` builders all apply these two tests.  The
+region of the (R, eps) plane decides which families exist at all.
 
 The scalar chain core (the ``Family`` enum, the coupling ``c_squared`` and
 the angle/deformation conversions) lives here too, and ``reps`` re-exports
@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
-ENDPOINT_TOL = 1e-9  # sphere chains: |C|^2 ends within it of 0, stays above
+ENDPOINT_TOL = 1e-9  # sphere chains: |C|^2 ends within it of 0 (chain_reason)
 
 
 class Family(str, Enum):
@@ -179,11 +179,34 @@ def solve_minimal_s2(R: float, n: int, tol: float = 1e-12) -> SolutionRecord:
     )
 
 
-def _inequality_reason(R: float, n: int, alpha: float, beta_prime: float) -> str:
-    """First interior index whose coupling is not strictly positive."""
-    for m in range(1, n):
+def chain_reason(R: float, n: int, alpha: float, beta_prime: float) -> str:
+    """"" if |C|^2 is within ENDPOINT_TOL of 0 at m = 0 and n and above
+    ENDPOINT_TOL * min(1, R + sec(alpha/2)), a share of its top, in between;
+    else why not, at the first failing m."""
+    ca = math.cos(0.5 * alpha)  # c_squared bit for bit, cos(alpha/2) hoisted
+    floor = ENDPOINT_TOL * min(1.0, R + 1.0 / ca)
+    for m in range(n + 1):
+        c2 = math.cos(beta_prime + m * alpha) / ca + R
+        if 0 < m < n:
+            if c2 <= floor:
+                return f"inequality fails at m={m}: |C|^2 = {c2:.4g}"
+        elif abs(c2) > ENDPOINT_TOL:
+            return f"endpoint not a zero at m={m}: |C|^2 = {c2:.4g}"
+    return ""
+
+
+def cycle_reason(R: float, n: int, k: Optional[int],
+                 beta_prime: Optional[float] = None) -> str:
+    """"" if 1 <= k < n/2, gcd(n, k) = 1 and (given beta') |C|^2 > 0 at all
+    n points of the cycle at alpha = 2*pi*k/n; else why not."""
+    if k is None or not 1 <= k < n / 2:  # so n >= 3
+        return f"need n >= 3 and 1 <= k < n/2, got n={n}, k={k}"
+    if math.gcd(n, k) != 1:
+        return f"gcd(n, k) must be 1, got n={n}, k={k}"
+    alpha = TWO_PI * k / n
+    for m in range(0 if beta_prime is None else n):
         c2 = c_squared(beta_prime + m * alpha, R, alpha)
-        if c2 <= ENDPOINT_TOL:
+        if c2 <= 0.0:
             return f"inequality fails at m={m}: |C|^2 = {c2:.4g}"
     return ""
 
@@ -192,7 +215,7 @@ def _candidate(
     R: float, n: int, branch: str, k: int, alpha: float, beta_prime: float,
     residual: float,
 ) -> SolutionRecord:
-    reason = _inequality_reason(R, n, alpha, beta_prime)
+    reason = chain_reason(R, n, alpha, beta_prime)
     return SolutionRecord(
         family=Family.S2NONMIN, R=R, n=n, k=k, alpha=alpha,
         beta_prime=beta_prime, exists=reason == "", reject_reason=reason,
@@ -215,7 +238,7 @@ def enumerate_s2_nonminimal(
     so every root is what a scalar scan of the whole grid finds.  Branch B
     takes the rational angles alpha = 2*pi*k'/n, gcd(k', n) = 1, and solves
     cos(beta') = -R*cos(pi*k'/n) for both roots in (-2*pi, 0].  Candidates
-    failing an interior inequality are kept with the failing index recorded.
+    failing ``chain_reason`` are kept with its reason.
     """
     import numpy as np
 
@@ -275,9 +298,7 @@ def enumerate_s2_nonminimal(
     for kp in range(1, (n - 1) // 2 + 1):
         if math.gcd(kp, n) != 1:
             continue
-        alpha = TWO_PI * kp / n
-        if not alpha < math.pi:
-            continue
+        alpha = TWO_PI * kp / n  # below pi, as 2*kp < n
         c = -R * math.cos(math.pi * kp / n)
         if abs(c) > 1.0:
             continue
@@ -301,10 +322,9 @@ def t2_beta_window(R: float, n: int, k: int) -> BetaWindow:
     (pi - 2*pi/n, pi] beyond.  Ties go to the closed side of each range.
     """
     _check_domain(R)
-    if n < 3 or not 1 <= k < n / 2:
-        raise DomainError(f"need n >= 3 and 1 <= k < n/2, got n={n}, k={k}")
-    if math.gcd(n, k) != 1:
-        raise DomainError(f"gcd(n, k) must be 1, got n={n}, k={k}")
+    reason = cycle_reason(R, n, k)
+    if reason:
+        raise DomainError(reason)
     ck = math.cos(math.pi * k / n)
     if R <= math.cos(math.pi / n) / ck:
         return BetaWindow("none", None, None, None)

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .classify import SweepRow
+from .classify import SweepRow, chain_reason, cycle_reason
 from .errors import InvalidSpec
 from .jsontext import _block, _quote, render_json, render_json_compact
 from .reps import (
@@ -172,10 +172,12 @@ def _band_doc(text: str) -> Optional[dict]:
 def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     """Read back a representation document emitted by this module.
 
-    Missing or mistyped fields, matrices that are not n x n [re, im] pairs
-    and non-finite numbers raise InvalidSpec.  Entries off the band load
-    as they are, so that verify reports them in the residuals; _band_doc
-    reads this module's own text with the result json.loads would give.
+    Missing or mistyped fields, matrices that are not n x n [re, im] pairs,
+    non-finite numbers, a chain or cycle spec that fails its family's test
+    in classify, and an s2min spec with a k raise InvalidSpec.  Entries off
+    the band load as they are, so that verify reports them in the residuals;
+    _band_doc reads this module's own text with the result json.loads would
+    give.
     """
     try:
         doc = isinstance(text, str) and _band_doc(text) or json.loads(text)
@@ -212,7 +214,19 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
         # emit -> load -> emit is byte-identical
         eps_value=float(_field(doc, "eps")),
     )
-    return ReprMatrices(spec, matrix("u"), matrix("ap"), matrix("am"))
+    # the matrices' shape is checked first, then the family's existence
+    # test, on the spec's scalars alone
+    u, ap, am = matrix("u"), matrix("ap"), matrix("am")
+    if fam == Family.S2MIN and spec.k is not None:
+        raise InvalidSpec(f"a minimal chain has no winding integer, got "
+                          f"k={spec.k}")
+    reason = (chain_reason(spec.R, n, spec.alpha, spec.beta_prime)
+              if fam in (Family.S2MIN, Family.S2NONMIN) else
+              cycle_reason(spec.R, n, spec.k, spec.beta_prime)
+              if fam == Family.T2 else "")
+    if reason:
+        raise InvalidSpec(reason)
+    return ReprMatrices(spec, u, ap, am)
 
 
 # sweep CSV -----------------------------------------------------------------

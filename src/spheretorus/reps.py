@@ -37,10 +37,11 @@ import numpy as np
 from .algebra import ContextMismatch, NormalForm
 # the scalar chain core lives in the numpy-free classify; re-exported here
 from .classify import (
-    ENDPOINT_TOL,
     Family,
     alpha_of_epsilon,
     c_squared,
+    chain_reason,
+    cycle_reason,
     epsilon_of_alpha,
 )
 from .errors import InvalidSpec
@@ -191,50 +192,29 @@ def _band(angles, couplings, corner: Optional[complex] = None):
 
 
 def build_s2(spec: ReprSpec) -> ReprMatrices:
-    """An n-dimensional sphere-type chain.
-
-    The chain must start and end on zeros of |C|^2 (within ENDPOINT_TOL)
-    and stay strictly positive in between; violations raise InvalidSpec
-    naming the first failing index m.
-    """
+    """An n-dimensional sphere-type chain; a spec failing
+    classify.chain_reason raises InvalidSpec with its reason."""
     if spec.family not in (Family.S2MIN, Family.S2NONMIN):
         raise InvalidSpec(f"build_s2 cannot build family {spec.family.value!r}")
-    n = spec.n
-    if n < 2:
-        raise InvalidSpec(f"sphere chain needs n >= 2, got {n}")
-    c2 = _chain_c2(spec, range(n + 1))
-    for m in (0, n):
-        if abs(c2[m]) > ENDPOINT_TOL:
-            raise InvalidSpec(
-                f"chain endpoint not a zero at m={m}: |C|^2 = {c2[m]:.6g}"
-            )
-    for m in range(1, n):
-        if c2[m] <= ENDPOINT_TOL:
-            raise InvalidSpec(
-                f"interior inequality fails at m={m}: |C|^2 = {c2[m]:.6g}"
-            )
-    return ReprMatrices(spec, *_band(_angles(spec, 0, n), np.sqrt(c2[1:n])))
+    if spec.n < 2:
+        raise InvalidSpec(f"sphere chain needs n >= 2, got {spec.n}")
+    reason = chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
+    if reason:
+        raise InvalidSpec(reason)
+    coup = np.sqrt(_chain_c2(spec, range(1, spec.n)))
+    return ReprMatrices(spec, *_band(_angles(spec, 0, spec.n), coup))
 
 
 def build_t2_finite(spec: ReprSpec) -> ReprMatrices:
-    """An n-dimensional torus-type cycle at alpha = 2*pi*k/n."""
+    """An n-dimensional torus-type cycle at alpha = 2*pi*k/n; a spec failing
+    classify.cycle_reason raises InvalidSpec with its reason."""
     if spec.family != Family.T2:
         raise InvalidSpec(f"build_t2_finite cannot build {spec.family.value!r}")
-    n, k = spec.n, spec.k
-    if k is None:
-        raise InvalidSpec("finite torus needs the winding integer k")
-    if not 1 <= k < n / 2:
-        raise InvalidSpec(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
-    if math.gcd(n, k) != 1:
-        raise InvalidSpec(f"gcd(n, k) must be 1, got n={n}, k={k}")
-    c2 = _chain_c2(spec, range(n))
-    for m in range(n):
-        if c2[m] <= 0.0:
-            raise InvalidSpec(
-                f"cycle inequality fails at m={m}: |C|^2 = {c2[m]:.6g}"
-            )
-    coup = np.sqrt(c2)
-    return ReprMatrices(spec, *_band(_angles(spec, 0, n), coup[1:],
+    reason = cycle_reason(spec.R, spec.n, spec.k, spec.beta_prime)
+    if reason:
+        raise InvalidSpec(reason)
+    coup = np.sqrt(_chain_c2(spec, range(spec.n)))
+    return ReprMatrices(spec, *_band(_angles(spec, 0, spec.n), coup[1:],
                                      spec.nu * coup[0]))
 
 

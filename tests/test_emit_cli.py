@@ -568,6 +568,45 @@ def test_cli_verify_s2min_family_matches_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["tol"] == 1e-3
 
 
+@pytest.mark.parametrize("R, n", [("-0.999999", "4096"),
+                                  ("-0.9999999", "1024"),
+                                  ("-0.99999999", "64")])
+def test_cli_verify_s2min_near_minus_one(R, n, capsys):
+    # the first interior |C|^2 is about 1e-9 here, and scales with 1 + R
+    assert cli.main(["verify", "s2min", "--R", R, "--n", n]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    assert doc["ok"] is True and doc["irreducible"] is True
+
+
+@pytest.mark.parametrize("edit, error", [
+    ({"beta_prime": 0}, "endpoint not a zero at m=0: |C|^2 = "),
+    ({"beta_prime": -1}, "endpoint not a zero at m=0: |C|^2 = "),
+    ({"k": 0}, "a minimal chain has no winding integer, got k=0"),
+    ({"k": -1}, "a minimal chain has no winding integer, got k=-1"),
+    ({"family": "t2", "k": None}, "need n >= 3 and 1 <= k < n/2, got n=5, "
+                                  "k=None"),
+    ({"family": "t2", "R": 1.0}, "inequality fails at m="),
+], ids=["beta-zero", "beta-neg", "k-zero", "k-neg", "t2-k-null",
+        "t2-below-window"])
+def test_cli_verify_checks_the_document_spec(edit, error, tmp_path, capsys):
+    # the spec's scalars must pass the family's existence test, whatever
+    # the matrices hold
+    if edit.get("family") == "t2":
+        m = build_t2_finite(ReprSpec(Family.T2, 4.0, 5, 0.0, math.pi, k=2))
+    else:
+        rec = solve_minimal_s2(0.5, 5)
+        m = build_s2(ReprSpec(Family.S2MIN, 0.5, 5, rec.alpha, rec.beta_prime))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(dict(json.loads(emit_rep_json(m)), **edit)))
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert len(out.err.splitlines()) == 1
+    assert json.loads(out.err)["error"].startswith(error)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
     ["topology", "--R={}"],

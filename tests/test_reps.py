@@ -135,6 +135,37 @@ def test_nonminimal_chains_from_enumeration():
         assert report.ok(1e-10 * rec.n), report.residuals
 
 
+def _boundary_draws(end, count=300, seed=16):
+    """(R, n) at log-spaced gaps from one end of the minimal range, with
+    n = round(2^U(1, 12)): R = -1 + 10^U(-9, 0) at the low end and
+    sec(pi/n) - 10^U(-12, -1) at the high end."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = round(2.0 ** rng.uniform(1.0, 12.0))
+        if end == "low":
+            yield -1.0 + 10.0 ** rng.uniform(-9.0, 0.0), n
+        else:
+            gap = 10.0 ** rng.uniform(-12.0, -1.0)
+            yield 1.0 / math.cos(math.pi / n) - gap, n
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_every_solved_minimal_chain_builds(end):
+    # every chain the solver reports must build: near R = -1 every |C|^2
+    # scales with 1 + R, so an absolute interior floor would reject chains
+    # that verify
+    solved = 0
+    for R, n in _boundary_draws(end):
+        rec = solve_minimal_s2(R, n)
+        if not rec.exists:
+            continue
+        solved += 1
+        m = build_s2(ReprSpec(Family.S2MIN, R, n, rec.alpha, rec.beta_prime))
+        assert verify_relations(m).ok(1e-10 * n), (R, n)
+        assert check_irreducible(m), (R, n)
+    assert solved > 250
+
+
 def test_finite_torus_residuals_and_wrap_independence():
     # R = 3 < sec(2*pi/5)/1, so the (5, 2) cycle only exists in a
     # restricted offset window; probe its midpoint
