@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .classify import SweepRow, chain_reason, cycle_reason
+from .classify import SweepRow
 from .errors import InvalidSpec
 from .jsontext import _block, _quote, render_json, render_json_compact
 from .reps import (
@@ -29,7 +29,9 @@ from .reps import (
     ReprMatrices,
     ReprSpec,
     ResidualReport,
+    nc_torus_reason,
     nc_torus_residuals,
+    spec_reason,
     verify_relations,
 )
 
@@ -172,12 +174,13 @@ def _band_doc(text: str) -> Optional[dict]:
 def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     """Read back a representation document emitted by this module.
 
-    Missing or mistyped fields, matrices that are not n x n [re, im] pairs,
-    non-finite numbers, a chain or cycle spec that fails its family's test
-    in classify, and an s2min spec with a k raise InvalidSpec.  Entries off
-    the band load as they are, so that verify reports them in the residuals;
-    _band_doc reads this module's own text with the result json.loads would
-    give.
+    Missing or mistyped fields, matrices that are not n x n [re, im] pairs
+    and non-finite numbers raise InvalidSpec; then, on the scalars alone, so
+    does a document that its builder refuses: a spec failing
+    reps.spec_reason, an alpha other than the spec's, or a clock/shift pair
+    failing reps.nc_torus_reason.  Entries off the band load as they are,
+    for verify to report; _band_doc reads this module's own text as
+    json.loads would.
     """
     try:
         doc = isinstance(text, str) and _band_doc(text) or json.loads(text)
@@ -200,33 +203,28 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     nu = complex(*_field(doc, "nu", (2,)).tolist())
     if fam == Family.NC_TORUS:
         k = int(_field(doc, "k", kinds="i"))
-        return NcTorusPair(n, k, float(_field(doc, "beta")), nu,
-                           matrix("u"), matrix("v"))
-    spec = ReprSpec(
-        family=fam,
-        R=float(_field(doc, "R")),
-        n=n,
-        alpha=float(_field(doc, "alpha")),
-        beta_prime=float(_field(doc, "beta_prime")),
-        k=None if doc.get("k") is None else int(_field(doc, "k", kinds="i")),
-        nu=nu,
-        # keep the stored deformation value authoritative so that
-        # emit -> load -> emit is byte-identical
-        eps_value=float(_field(doc, "eps")),
-    )
-    # the matrices' shape is checked first, then the family's existence
-    # test, on the spec's scalars alone
-    u, ap, am = matrix("u"), matrix("ap"), matrix("am")
-    if fam == Family.S2MIN and spec.k is not None:
-        raise InvalidSpec(f"a minimal chain has no winding integer, got "
-                          f"k={spec.k}")
-    reason = (chain_reason(spec.R, n, spec.alpha, spec.beta_prime)
-              if fam in (Family.S2MIN, Family.S2NONMIN) else
-              cycle_reason(spec.R, n, spec.k, spec.beta_prime)
-              if fam == Family.T2 else "")
+        loaded = NcTorusPair(n, k, float(_field(doc, "beta")), nu,
+                             matrix("u"), matrix("v"))
+        reason = nc_torus_reason(n, k, nu)
+    else:
+        alpha = float(_field(doc, "alpha"))
+        spec = ReprSpec(
+            family=fam,
+            R=float(_field(doc, "R")),
+            n=n,
+            alpha=alpha,
+            beta_prime=float(_field(doc, "beta_prime")),
+            k=None if doc.get("k") is None else int(_field(doc, "k", kinds="i")),
+            nu=nu,
+            eps_value=float(_field(doc, "eps")),  # spec_reason checks it
+        )
+        loaded = ReprMatrices(spec, matrix("u"), matrix("ap"), matrix("am"))
+        reason = spec_reason(spec)
+        if not reason and alpha != spec.alpha:
+            reason = f"alpha must be {spec.alpha!r}, got {alpha!r}"
     if reason:
         raise InvalidSpec(reason)
-    return ReprMatrices(spec, u, ap, am)
+    return loaded
 
 
 # sweep CSV -----------------------------------------------------------------
@@ -288,7 +286,7 @@ def emit_diagram_svg(spec: ReprSpec) -> str:
     joined by an open polyline, torus cycles by a closed polygon.
     """
     R, n, alpha, bp = spec.R, spec.n, spec.alpha, spec.beta_prime
-    closed = spec.family in (Family.T2, Family.T2WINDOW, Family.NC_TORUS)
+    closed = spec.family in (Family.T2, Family.T2WINDOW)
     lo = -spec.M if spec.family == Family.T2WINDOW else 0
 
     parts = [

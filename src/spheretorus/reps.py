@@ -14,9 +14,9 @@ models (the standard fuzzy sphere and the finite noncommutative torus) are
 included as independent cross-checks of the scaffold.
 
 One constructor, ``_band``, fills that scaffold for every family from its
-eigen-angles, its coupling vector and an optional wrap corner; the builders
-only check existence and compute the couplings.  ``build(spec)`` picks the
-builder of a spec's family, and ``verify_relations`` picks the relation
+eigen-angles, its coupling vector and an optional wrap corner.  Each spec
+family's existence rule is stated once, in ``spec_reason``; ``build(spec)``
+applies it and makes all five, and ``verify_relations`` picks the relation
 table: the deformed relations, the fuzzy sphere's su(2) relations, or the
 Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and
 am once, as nonzero diagonals (``_Diags``, the DIA format) that residuals,
@@ -60,7 +60,7 @@ def _wrap_half_open(x: float, lo: float, period: float = TWO_PI) -> float:
 
 @dataclass(frozen=True)
 class ReprSpec:
-    """Parameters selecting one representation.
+    """Parameters selecting one representation, of any family but nc-torus.
 
     ``n`` is the dimension; a T2WINDOW's is odd and >= 3, with half-width
     ``M`` = (n - 1) // 2 (a given ``M`` sets n = 2*M + 1).  For a finite
@@ -87,6 +87,8 @@ class ReprSpec:
             set_(self, "family", Family(self.family))
         except ValueError:
             raise InvalidSpec(f"unknown family {self.family!r}") from None
+        if self.family == Family.NC_TORUS:
+            raise InvalidSpec("nc-torus has no spec; build_nc_torus makes it")
         if self.family == Family.T2 and self.k is not None:
             set_(self, "alpha", TWO_PI * self.k / self.n)
         if self.family == Family.T2WINDOW:
@@ -163,18 +165,6 @@ class ResidualReport:
         return self.max_residual <= tol
 
 
-def _chain_c2(spec: ReprSpec, m_values) -> np.ndarray:
-    return np.array([
-        c_squared(spec.beta_prime + m * spec.alpha, spec.R, spec.alpha)
-        for m in m_values
-    ])
-
-
-def _angles(spec: ReprSpec, lo: int, hi: int) -> np.ndarray:
-    """Winding eigen-angles beta + m*alpha for lo <= m < hi."""
-    return spec.beta + np.arange(lo, hi) * spec.alpha
-
-
 def _band(angles, couplings, corner: Optional[complex] = None):
     """The shared scaffold as diagonals (u, ap, am).
 
@@ -191,69 +181,84 @@ def _band(angles, couplings, corner: Optional[complex] = None):
     return _Diags(n, {0: u}), _Diags.trim(n, am.H.d), am
 
 
-def build_s2(spec: ReprSpec) -> ReprMatrices:
-    """An n-dimensional sphere-type chain; a spec failing
-    classify.chain_reason raises InvalidSpec with its reason."""
-    if spec.family not in (Family.S2MIN, Family.S2NONMIN):
-        raise InvalidSpec(f"build_s2 cannot build family {spec.family.value!r}")
-    if spec.n < 2:
-        raise InvalidSpec(f"sphere chain needs n >= 2, got {spec.n}")
-    reason = chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
-    if reason:
-        raise InvalidSpec(reason)
-    coup = np.sqrt(_chain_c2(spec, range(1, spec.n)))
-    return ReprMatrices(spec, *_band(_angles(spec, 0, spec.n), coup))
-
-
-def build_t2_finite(spec: ReprSpec) -> ReprMatrices:
-    """An n-dimensional torus-type cycle at alpha = 2*pi*k/n; a spec failing
-    classify.cycle_reason raises InvalidSpec with its reason."""
-    if spec.family != Family.T2:
-        raise InvalidSpec(f"build_t2_finite cannot build {spec.family.value!r}")
-    reason = cycle_reason(spec.R, spec.n, spec.k, spec.beta_prime)
-    if reason:
-        raise InvalidSpec(reason)
-    coup = np.sqrt(_chain_c2(spec, range(spec.n)))
-    return ReprMatrices(spec, *_band(_angles(spec, 0, spec.n), coup[1:],
-                                     spec.nu * coup[0]))
-
-
-def build_t2_window(spec: ReprSpec) -> ReprMatrices:
-    """A (2M+1)-dimensional window into the infinite torus lattice.
-
-    Requires R >= sec(alpha/2), so |C|^2 >= 0 on the whole lattice; the
-    defining relations then hold exactly on interior basis vectors, and
-    verify_relations flags the two boundary indices.
-    """
-    if spec.family != Family.T2WINDOW:
-        raise InvalidSpec(f"build_t2_window cannot build {spec.family.value!r}")
-    sec = 1.0 / math.cos(0.5 * spec.alpha)
-    if spec.R < sec:
-        raise InvalidSpec(
-            f"window needs R >= sec(alpha/2) = {sec:.12g}, got R = {spec.R!r}"
-        )
-    turn = spec.alpha / TWO_PI
-    near = Fraction(turn).limit_denominator(64)
-    if abs(turn - float(near)) < 1e-12:
-        raise InvalidSpec(
-            f"alpha = 2*pi*{near} is a rational angle; build the finite torus"
-        )
-    M = spec.M
-    c2 = _chain_c2(spec, range(-M + 1, M + 1))
-    # clamp float dust at the semi-infinite edge
-    return ReprMatrices(spec, *_band(_angles(spec, -M, M + 1),
-                                     np.sqrt(np.maximum(c2, 0.0))))
+def spec_reason(spec: ReprSpec) -> str:
+    """"" if build makes spec, else why not: each spec family's one existence
+    rule.  A fuzzy sphere must be the spec its n >= 2 fixes (below, this
+    raises); any other family's eps_value is None or tan(alpha/2) exactly."""
+    if spec.family in (Family.S2MIN, Family.S2NONMIN):
+        if spec.n < 2:
+            return f"sphere chain needs n >= 2, got {spec.n}"
+        if spec.family == Family.S2MIN and spec.k is not None:
+            return f"a minimal chain has no winding integer, got k={spec.k}"
+        reason = chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
+    elif spec.family == Family.T2:
+        reason = cycle_reason(spec.R, spec.n, spec.k, spec.beta_prime)
+    elif spec.family == Family.T2WINDOW:
+        sec = 1.0 / math.cos(0.5 * spec.alpha)
+        if spec.R < sec:
+            return (f"window needs R >= sec(alpha/2) = {sec:.12g}, "
+                    f"got R = {spec.R!r}")
+        turn = spec.alpha / TWO_PI
+        near = Fraction(turn).limit_denominator(64)
+        if abs(turn - float(near)) < 1e-12:
+            return (f"alpha = 2*pi*{near} is a rational angle; build the "
+                    f"finite torus")
+        reason = ""
+    else:  # the fuzzy sphere
+        return ("" if spec == _fuzzy_spec(spec.n) else
+                f"a fuzzy sphere spec is the one n = {spec.n} fixes")
+    eps = math.tan(0.5 * spec.alpha)
+    if not reason and spec.eps != eps:
+        reason = f"eps must be tan(alpha/2) = {eps!r}, got {spec.eps!r}"
+    return reason
 
 
 def build(spec: ReprSpec) -> ReprMatrices:
-    """The representation a spec selects, from its family's builder."""
-    if spec.family in (Family.S2MIN, Family.S2NONMIN):
-        return build_s2(spec)
-    if spec.family == Family.T2:
-        return build_t2_finite(spec)
-    if spec.family == Family.T2WINDOW:
-        return build_t2_window(spec)
-    raise InvalidSpec(f"no spec builder for family {spec.family.value!r}")
+    """The representation a spec selects, or InvalidSpec with spec_reason.
+
+    A fuzzy sphere's couplings come from su(2); every other family's are
+    sqrt(|C|^2) at m = lo .. lo + n - 1 (lo = -M for a window, else 0),
+    clamped at 0 for float dust, and m = lo is a cycle's wrap corner.
+    """
+    reason = spec_reason(spec)
+    if reason:
+        raise InvalidSpec(reason)
+    if spec.family == Family.FUZZY_SPHERE:
+        r = np.arange(spec.n)
+        angles = np.arcsin(spec.eps * (r - 0.5 * (spec.n - 1)))
+        coup = spec.eps * np.sqrt((spec.n - r) * r)
+    else:
+        lo = -spec.M if spec.family == Family.T2WINDOW else 0
+        angles = spec.beta + np.arange(lo, lo + spec.n) * spec.alpha
+        c2 = [c_squared(spec.beta_prime + m * spec.alpha, spec.R, spec.alpha)
+              for m in range(lo, lo + spec.n)]
+        coup = np.sqrt(np.maximum(c2, 0.0))
+    corner = spec.nu * coup[0] if spec.family == Family.T2 else None
+    return ReprMatrices(spec, *_band(angles, coup[1:], corner))
+
+
+def _only(spec: ReprSpec, refusal: str, *families: Family) -> ReprSpec:
+    if spec.family not in families:
+        raise InvalidSpec(f"{refusal} {spec.family.value!r}")
+    return spec
+
+
+def build_s2(spec: ReprSpec) -> ReprMatrices:
+    """build(spec) of a sphere-type chain (s2min, s2nonmin) only."""
+    return build(_only(spec, "build_s2 cannot build family", Family.S2MIN,
+                       Family.S2NONMIN))
+
+
+def build_t2_finite(spec: ReprSpec) -> ReprMatrices:
+    """build(spec) of a torus-type cycle at alpha = 2*pi*k/n only."""
+    return build(_only(spec, "build_t2_finite cannot build", Family.T2))
+
+
+def build_t2_window(spec: ReprSpec) -> ReprMatrices:
+    """build(spec) of a (2M+1)-dimensional window into the infinite torus
+    lattice only; verify_relations flags its two boundary indices."""
+    return build(_only(spec, "build_t2_window cannot build",
+                       Family.T2WINDOW))
 
 
 # diagonal-offset kernel ------------------------------------------------------
@@ -492,29 +497,23 @@ def check_irreducible(m: ReprMatrices) -> bool:
 # reference models ---------------------------------------------------------
 
 
-def build_fuzzy_sphere(n: int) -> ReprMatrices:
-    """The standard su(2) fuzzy sphere at dimension n.
-
-    eps = 2/sqrt(n^2 - 1); satisfies the cyclic commutators
-    [x,y] = i*eps*z (and cyclic) with x^2 + y^2 + z^2 = 1.  The winding
-    matrix is the diagonal unitary with angles arcsin of the z eigenvalues,
-    so z is recovered as (u - u^dagger)/2i.
-    """
+def _fuzzy_spec(n: int) -> ReprSpec:
+    """The one fuzzy-sphere spec at dimension n: the round sphere R = 1 at
+    eps = 2/sqrt(n^2 - 1)."""
     if n < 2:
         raise InvalidSpec(f"fuzzy sphere needs n >= 2, got {n}")
     eps = 2.0 / math.sqrt(n * n - 1.0)
-    r = np.arange(n)
-    zdiag = eps * (r - 0.5 * (n - 1))
-    couplings = eps * np.sqrt((n - 1 - r[:-1]) * (r[:-1] + 1))
-    spec = ReprSpec(
-        family=Family.FUZZY_SPHERE,
-        R=1.0,  # reference model: the round sphere x^2+y^2+z^2 = 1
-        n=n,
-        alpha=alpha_of_epsilon(eps),
-        beta_prime=0.0,
-        eps_value=eps,
-    )
-    return ReprMatrices(spec, *_band(np.arcsin(zdiag), couplings))
+    return ReprSpec(Family.FUZZY_SPHERE, 1.0, n, alpha_of_epsilon(eps), 0.0,
+                    eps_value=eps)
+
+
+def build_fuzzy_sphere(n: int) -> ReprMatrices:
+    """The standard su(2) fuzzy sphere at dimension n, from build().
+
+    It satisfies [x,y] = i*eps*z (and cyclic) with x^2 + y^2 + z^2 = 1; u's
+    angles are arcsin of z's eigenvalues, so z = (u - u^dagger)/2i.
+    """
+    return build(_fuzzy_spec(n))
 
 
 def fuzzy_sphere_residuals(m: ReprMatrices) -> Dict[str, float]:
@@ -531,6 +530,17 @@ def fuzzy_sphere_residuals(m: ReprMatrices) -> Dict[str, float]:
     }
 
 
+def nc_torus_reason(n: int, k: int, nu: complex) -> str:
+    """"" if a clock/shift pair exists at (n, k, nu), else why not."""
+    if n < 2:
+        return f"torus reference needs n >= 2, got {n}"
+    if math.gcd(n, k) != 1:
+        return f"gcd(n, k) must be 1, got n={n}, k={k}"
+    if abs(abs(complex(nu)) - 1.0) > 1e-9:
+        return "wrap phase must be unimodular"
+    return ""
+
+
 def build_nc_torus(
     n: int, k: int, beta: float = 0.0, nu: complex = 1.0 + 0.0j
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -539,12 +549,9 @@ def build_nc_torus(
     u is diagonal with angles beta + 2*pi*r*k/n, v the cyclic shift with
     wrap phase nu; they satisfy u v = e^{2*pi*i*k/n} v u.
     """
-    if n < 2:
-        raise InvalidSpec(f"torus reference needs n >= 2, got {n}")
-    if math.gcd(n, k) != 1:
-        raise InvalidSpec(f"gcd(n, k) must be 1, got n={n}, k={k}")
-    if abs(abs(complex(nu)) - 1.0) > 1e-9:
-        raise InvalidSpec("wrap phase must be unimodular")
+    reason = nc_torus_reason(n, k, nu)
+    if reason:
+        raise InvalidSpec(reason)
     # v is the raising half of a band with unit couplings and wrap corner nu
     u, v, _ = _band(beta + TWO_PI * np.arange(n) * k / n, np.ones(n - 1),
                     complex(nu).conjugate())

@@ -580,26 +580,71 @@ def test_cli_verify_s2min_near_minus_one(R, n, capsys):
     assert doc["ok"] is True and doc["irreducible"] is True
 
 
-@pytest.mark.parametrize("edit, error", [
-    ({"beta_prime": 0}, "endpoint not a zero at m=0: |C|^2 = "),
-    ({"beta_prime": -1}, "endpoint not a zero at m=0: |C|^2 = "),
-    ({"k": 0}, "a minimal chain has no winding integer, got k=0"),
-    ({"k": -1}, "a minimal chain has no winding integer, got k=-1"),
-    ({"family": "t2", "k": None}, "need n >= 3 and 1 <= k < n/2, got n=5, "
-                                  "k=None"),
-    ({"family": "t2", "R": 1.0}, "inequality fails at m="),
-], ids=["beta-zero", "beta-neg", "k-zero", "k-neg", "t2-k-null",
-        "t2-below-window"])
-def test_cli_verify_checks_the_document_spec(edit, error, tmp_path, capsys):
-    # the spec's scalars must pass the family's existence test, whatever
-    # the matrices hold
-    if edit.get("family") == "t2":
+def _builder_document(family):
+    """The document a builder writes for a small spec of the family."""
+    if family == "nc-torus":
+        return json.loads(emit_nc_torus_json(*build_nc_torus(5, 2), 5, 2))
+    if family == "t2":
         m = build_t2_finite(ReprSpec(Family.T2, 4.0, 5, 0.0, math.pi, k=2))
+    elif family == "t2window":
+        m = build_t2_window(ReprSpec(Family.T2WINDOW, 1.5, 9, 0.9, math.pi))
+    elif family == "fuzzy-sphere":
+        m = build_fuzzy_sphere(5)
     else:
         rec = solve_minimal_s2(0.5, 5)
         m = build_s2(ReprSpec(Family.S2MIN, 0.5, 5, rec.alpha, rec.beta_prime))
+    return json.loads(emit_rep_json(m))
+
+
+def _pairs(mat):
+    return [[[z.real, z.imag] for z in row] for row in mat]
+
+
+# a one-point chain whose two ends are zeros of |C|^2, which chain_reason
+# alone accepts
+_ONE_POINT = {"n": 1, "R": -1.0, "alpha": 1.0, "beta_prime": -0.5,
+              "eps": math.tan(0.5),
+              "matrices": {"u": [[[1.0, 0.0]]], "ap": [[[0.0, 0.0]]],
+                           "am": [[[0.0, 0.0]]]}}
+# a clock/shift pair at n = 4, k = 2, made by hand: build_nc_torus refuses it
+_CLOCK_4_2 = {"n": 4, "k": 2, "matrices": {
+    "u": _pairs([[(-1) ** r if r == c else 0 for c in range(4)]
+                 for r in range(4)]),
+    "v": _pairs([[1 if c == (r + 1) % 4 else 0 for c in range(4)]
+                 for r in range(4)])}}
+
+
+@pytest.mark.parametrize("base, edit, error", [
+    ("s2min", {"beta_prime": 0}, "endpoint not a zero at m=0: |C|^2 = "),
+    ("s2min", {"beta_prime": -1}, "endpoint not a zero at m=0: |C|^2 = "),
+    ("s2min", {"k": 0}, "a minimal chain has no winding integer, got k=0"),
+    ("s2min", {"k": -1}, "a minimal chain has no winding integer, got k=-1"),
+    ("t2", {"k": None}, "need n >= 3 and 1 <= k < n/2, got n=5, k=None"),
+    ("t2", {"R": 1.0}, "inequality fails at m="),
+    ("s2min", _ONE_POINT, "sphere chain needs n >= 2, got 1"),
+    # alpha and eps agree, so the window's own rule is what fails
+    ("t2window", {"alpha": TWO_PI / 6, "eps": math.tan(math.pi / 6)},
+     "alpha = 2*pi*1/6 is a rational angle; build the finite torus"),
+    ("t2window", {"R": 1.0}, "window needs R >= sec(alpha/2) = "
+                             f"{1 / math.cos(0.45):.12g}, got R = 1.0"),
+    ("fuzzy-sphere", {"R": 42}, "a fuzzy sphere spec is the one n = 5 fixes"),
+    ("nc-torus", _CLOCK_4_2, "gcd(n, k) must be 1, got n=4, k=2"),
+    ("nc-torus", {"nu": [2, 0]}, "wrap phase must be unimodular"),
+    ("t2", {"alpha": 0.123}, f"alpha must be {TWO_PI * 2 / 5!r}, got 0.123"),
+    ("s2min", "eps", "eps must be tan(alpha/2) = "),
+], ids=["beta-zero", "beta-neg", "k-zero", "k-neg", "t2-k-null",
+        "t2-below-window", "s2min-n1", "window-rational", "window-below-sec",
+        "fuzzy-R", "nc-gcd", "nc-nu", "t2-alpha", "eps-off-by-1e-9"])
+def test_cli_verify_checks_the_document_spec(base, edit, error, tmp_path,
+                                             capsys):
+    # the spec's scalars must pass the rule its builder applies, whatever
+    # the matrices hold
+    doc = _builder_document(base)
+    if edit == "eps":
+        eps = doc["eps"] * (1 + 1e-9)
+        edit, error = {"eps": eps}, f"{error}{doc['eps']!r}, got {eps!r}"
     path = tmp_path / "rep.json"
-    path.write_text(json.dumps(dict(json.loads(emit_rep_json(m)), **edit)))
+    path.write_text(json.dumps(dict(doc, **edit)))
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr()
     assert (rc, out.out) == (1, "")

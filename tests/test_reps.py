@@ -1,6 +1,7 @@
 """Matrix representations: builders, residuals, reference models."""
 
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -512,9 +513,27 @@ def test_nc_torus_matches_loop_filled_reference():
                     ref_u, ref_v, n, k)
 
 
-def test_build_rejects_reference_model_specs():
-    with pytest.raises(InvalidSpec):
-        build(build_fuzzy_sphere(3).spec)
+def _diags(m):
+    return {name: {a: v.tolist() for a, v in d.d.items()}
+            for name, d in zip(("u", "ap", "am"), m.diags)}
+
+
+def test_build_makes_the_fuzzy_sphere_from_its_spec():
+    for n in range(2, 17):
+        m = build_fuzzy_sphere(n)
+        assert _diags(build(m.spec)) == _diags(m)
+        # the su(2) ladder in closed form: z = eps*(r - (n-1)/2) and
+        # couplings eps*sqrt((n-1-r)(r+1)), bit for bit
+        eps, r = 2.0 / math.sqrt(n * n - 1.0), np.arange(n)
+        assert m.spec.eps == eps
+        assert m.diags[0].d[0].tolist() == np.exp(
+            1j * np.arcsin(eps * (r - 0.5 * (n - 1)))).tolist()
+        assert m.diags[2].d[1][:-1].tolist() == (
+            eps * np.sqrt((n - 1 - r[:-1]) * (r[:-1] + 1))).astype(complex).tolist()
+    with pytest.raises(InvalidSpec, match="fuzzy sphere spec is the one n = 3"):
+        build(dataclasses.replace(build_fuzzy_sphere(3).spec, R=2.0))
+    with pytest.raises(InvalidSpec, match="nc-torus has no spec"):
+        build(ReprSpec(Family.NC_TORUS, 1.0, 5, 2 * TWO_PI / 5, 0.0, k=2))
 
 
 _GAPS = (0.5, 0.999, 1.001, 2.0)  # eigenvalue gaps in units of tol
