@@ -39,7 +39,6 @@ from .epsring import (
     NotDivisible,
     phase,
     power,
-    sum_scalars,
 )
 
 Key = Tuple[int, int]
@@ -162,7 +161,9 @@ class AlgebraContext:
         return out
 
 
-def _accumulate(terms: Terms, key: Key, value: EpsScalar) -> None:
+def _accumulate(terms: dict, key: Key, value) -> None:
+    """Add value into terms[key]: every sum of colliding terms, exact
+    scalars and commutative coefficients alike, is made here."""
     prev = terms.get(key)
     terms[key] = value if prev is None else prev + value
 
@@ -226,9 +227,7 @@ class NormalForm:
             return NotImplemented
         self._check(coerced)
         contract = self.ctx._contract
-        # a key holds its first term as it is, and a list once a second
-        # term arrives; each list is summed, and canonicalised, once
-        out: dict = {}
+        out: Terms = {}
         for (r1, s1), xi1 in self.terms.items():
             for (r2, s2), xi2 in coerced.terms.items():
                 # slide u^s1 right across ladder^r2: e^{i r2 s1 a}
@@ -237,24 +236,13 @@ class NormalForm:
                     weight = weight * phase(r2 * s1)
                 shift = s1 + s2
                 if r1 * r2 >= 0:
-                    found = (((r1 + r2, shift), weight),)
+                    _accumulate(out, (r1 + r2, shift), weight)
                 else:
                     # am^a ap^b is theta of ap^a am^b: (r, s) -> (-r, -s)
                     sign = 1 if r1 > 0 else -1
-                    found = [((sign * r, sign * s + shift), xi * weight)
-                             for (r, s), xi in
-                             contract(sign * r1, -sign * r2).items()]
-                for key, value in found:
-                    prev = out.get(key)
-                    if prev is None:
-                        out[key] = value
-                    elif type(prev) is list:
-                        prev.append(value)
-                    else:
-                        out[key] = [prev, value]
-        for key, value in out.items():
-            if type(value) is list:
-                out[key] = sum_scalars(value)
+                    for (r, s), xi in contract(sign * r1, -sign * r2).items():
+                        _accumulate(out, (sign * r, sign * s + shift),
+                                    xi * weight)
         return NormalForm(self.ctx, out)
 
     def __rmul__(self, other) -> "NormalForm":
@@ -371,8 +359,7 @@ class CommutativePoly:
     def __add__(self, other: "CommutativePoly") -> "CommutativePoly":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
+            _accumulate(out, key, c)
         return CommutativePoly(out)
 
     def __sub__(self, other: "CommutativePoly") -> "CommutativePoly":

@@ -360,9 +360,9 @@ def classify_region(R: float, eps: float) -> RegionInfo:
 
     R = -1 and R = 1 are matched exactly, as in geometry.topology_of, so
     both agree on the surface type.  Above R = 1 the irrational boundary
-    R = R_eps = sqrt(1 + eps^2) is matched with the relative tolerance
-    R_EPS_REL_TOL: probe values are typically decimal roundings of the
-    exact square root and cannot hit it at float equality.
+    R = R_eps = sqrt(1 + eps^2) is matched from above only, up to R_eps *
+    (1 + R_EPS_REL_TOL): probe values are decimal roundings of the exact
+    root, and below R_eps no window builds.
     """
     _check_domain(R)
     if not eps > 0.0:  # nan included
@@ -376,7 +376,7 @@ def classify_region(R: float, eps: float) -> RegionInfo:
         label = RegionLabel.SPHERE
     elif R == 1.0:
         label = RegionLabel.VARIETY
-    elif abs(R - r_eps) <= R_EPS_REL_TOL * r_eps:
+    elif r_eps <= R <= r_eps * (1.0 + R_EPS_REL_TOL):
         label = RegionLabel.SPHERE_TORUS_BOUNDARY
     elif R < r_eps:
         label = RegionLabel.SPHERE_TORUS

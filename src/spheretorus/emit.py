@@ -177,10 +177,10 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     Missing or mistyped fields, matrices that are not n x n [re, im] pairs
     and non-finite numbers raise InvalidSpec; then, on the scalars alone, so
     does a document that its builder refuses: a spec failing
-    reps.spec_reason, an alpha other than the spec's, or a clock/shift pair
-    failing reps.nc_torus_reason.  Entries off the band load as they are,
-    for verify to report; _band_doc reads this module's own text as
-    json.loads would.
+    reps.spec_reason, an alpha, beta or eps other than the spec's, or a
+    clock/shift pair failing reps.nc_torus_reason.  Entries off the band
+    load as they are, for verify to report; _band_doc reads this module's
+    own text as json.loads would.
     """
     try:
         doc = isinstance(text, str) and _band_doc(text) or json.loads(text)
@@ -207,21 +207,22 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
                              matrix("u"), matrix("v"))
         reason = nc_torus_reason(n, k, nu)
     else:
-        alpha = float(_field(doc, "alpha"))
         spec = ReprSpec(
             family=fam,
             R=float(_field(doc, "R")),
             n=n,
-            alpha=alpha,
+            alpha=float(_field(doc, "alpha")),
             beta_prime=float(_field(doc, "beta_prime")),
             k=None if doc.get("k") is None else int(_field(doc, "k", kinds="i")),
             nu=nu,
-            eps_value=float(_field(doc, "eps")),  # spec_reason checks it
         )
         loaded = ReprMatrices(spec, matrix("u"), matrix("ap"), matrix("am"))
         reason = spec_reason(spec)
-        if not reason and alpha != spec.alpha:
-            reason = f"alpha must be {spec.alpha!r}, got {alpha!r}"
+        # the fields derived from the spec must be the ones build writes
+        for name in ("alpha", "beta", "eps"):
+            got, want = float(_field(doc, name)), getattr(spec, name)
+            if not reason and got != want:
+                reason = f"{name} must be {want!r}, got {got!r}"
     if reason:
         raise InvalidSpec(reason)
     return loaded

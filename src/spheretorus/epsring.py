@@ -22,10 +22,8 @@ nonzero element of Q(i) is a unit of Q(i)[eps], so the scaled numerator is
 divisible by ``1 + eps^2`` exactly when the old one was, which for a
 canonical operand with ``den_pow > 0`` it is not; and Z[i] has no zero
 divisors, so no trailing zero appears.  A factor equal to 1 returns the
-other operand.  Sums of many scalars (:func:`sum_scalars`) lift every
-numerator once to the common denominator and the largest ``den_pow`` and
-canonicalise the total once.  Canonical form is unique, so each shortcut
-yields the same data as the general path.
+other operand.  Canonical form is unique, so each shortcut yields the same
+data as the general path.
 
 All arithmetic here is exact; floats only appear in :meth:`EpsScalar.eval`.
 :class:`CRat` is the exchange type for single coefficients.
@@ -210,30 +208,6 @@ def _primitive(c, d: int, m: int) -> "EpsScalar":
             c = [(re // g, im // g) for re, im in c]
             d //= g
     return _new(tuple(c), d, m)
-
-
-def sum_scalars(terms) -> "EpsScalar":
-    """The sum of a sequence of EpsScalars, canonicalised once.
-
-    Each numerator is lifted to the common denominator lcm(d) and the
-    largest den_pow M, by one product with a scaled (1 + eps^2)^(M - m);
-    the lifted numerators are added and the total is reduced.
-    """
-    terms = [t for t in terms if t._c]
-    if not terms:
-        return ES_ZERO
-    d = lcm(*[t._d for t in terms])
-    m = max([t.den_pow for t in terms])
-    n = max([len(t._c) + 2 * (m - t.den_pow) for t in terms])
-    re, im = [0] * n, [0] * n
-    for t in terms:
-        c, k, scale = t._c, m - t.den_pow, d // t._d
-        if k or scale != 1:
-            c = _convolve([(b * scale, 0) for b, _ in _circle_power(k)], c)
-        for i, (x, y) in enumerate(c):
-            re[i] += x
-            im[i] += y
-    return _canonical(zip(re, im), d, m)
 
 
 def power(base, n: int, one):

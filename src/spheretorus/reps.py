@@ -77,9 +77,6 @@ class ReprSpec:
     k: Optional[int] = None
     nu: complex = 1.0 + 0.0j
     M: Optional[int] = None
-    # set when the deformation value itself is the primary datum and the
-    # angle is derived from it; tan(2*atan(e)/2) can lose the last ulp
-    eps_value: Optional[float] = None
 
     def __post_init__(self):
         set_ = object.__setattr__
@@ -117,8 +114,10 @@ class ReprSpec:
 
     @property
     def eps(self) -> float:
-        if self.eps_value is not None:
-            return self.eps_value
+        # a fuzzy sphere's angle is derived from its eps, and
+        # tan(2*atan(e)/2) can lose the last ulp
+        if self.family == Family.FUZZY_SPHERE:
+            return 2.0 / math.sqrt(self.n * self.n - 1.0)
         return math.tan(0.5 * self.alpha)
 
     @property
@@ -184,16 +183,16 @@ def _band(angles, couplings, corner: Optional[complex] = None):
 def spec_reason(spec: ReprSpec) -> str:
     """"" if build makes spec, else why not: each spec family's one existence
     rule.  A fuzzy sphere must be the spec its n >= 2 fixes (below, this
-    raises); any other family's eps_value is None or tan(alpha/2) exactly."""
+    raises)."""
     if spec.family in (Family.S2MIN, Family.S2NONMIN):
         if spec.n < 2:
             return f"sphere chain needs n >= 2, got {spec.n}"
         if spec.family == Family.S2MIN and spec.k is not None:
             return f"a minimal chain has no winding integer, got k={spec.k}"
-        reason = chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
-    elif spec.family == Family.T2:
-        reason = cycle_reason(spec.R, spec.n, spec.k, spec.beta_prime)
-    elif spec.family == Family.T2WINDOW:
+        return chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
+    if spec.family == Family.T2:
+        return cycle_reason(spec.R, spec.n, spec.k, spec.beta_prime)
+    if spec.family == Family.T2WINDOW:
         sec = 1.0 / math.cos(0.5 * spec.alpha)
         if spec.R < sec:
             return (f"window needs R >= sec(alpha/2) = {sec:.12g}, "
@@ -203,14 +202,10 @@ def spec_reason(spec: ReprSpec) -> str:
         if abs(turn - float(near)) < 1e-12:
             return (f"alpha = 2*pi*{near} is a rational angle; build the "
                     f"finite torus")
-        reason = ""
-    else:  # the fuzzy sphere
-        return ("" if spec == _fuzzy_spec(spec.n) else
-                f"a fuzzy sphere spec is the one n = {spec.n} fixes")
-    eps = math.tan(0.5 * spec.alpha)
-    if not reason and spec.eps != eps:
-        reason = f"eps must be tan(alpha/2) = {eps!r}, got {spec.eps!r}"
-    return reason
+        return ""
+    # the fuzzy sphere
+    return ("" if spec == _fuzzy_spec(spec.n) else
+            f"a fuzzy sphere spec is the one n = {spec.n} fixes")
 
 
 def build(spec: ReprSpec) -> ReprMatrices:
@@ -503,8 +498,7 @@ def _fuzzy_spec(n: int) -> ReprSpec:
     if n < 2:
         raise InvalidSpec(f"fuzzy sphere needs n >= 2, got {n}")
     eps = 2.0 / math.sqrt(n * n - 1.0)
-    return ReprSpec(Family.FUZZY_SPHERE, 1.0, n, alpha_of_epsilon(eps), 0.0,
-                    eps_value=eps)
+    return ReprSpec(Family.FUZZY_SPHERE, 1.0, n, alpha_of_epsilon(eps), 0.0)
 
 
 def build_fuzzy_sphere(n: int) -> ReprMatrices:

@@ -18,7 +18,7 @@ from spheretorus.classify import (
     t2_beta_window,
 )
 from spheretorus.errors import DomainError, InvalidSpec
-from spheretorus.reps import Family, ReprSpec, build_t2_finite
+from spheretorus.reps import Family, ReprSpec, build_t2_finite, spec_reason
 
 TWO_PI = 2.0 * math.pi
 
@@ -334,6 +334,20 @@ def test_region_classification_at_half_eps():
         classify_region(0.0, -0.3)
     with pytest.raises(DomainError):
         classify_region(0.0, math.nan)
+
+
+def test_region_reports_a_window_only_where_one_builds():
+    # R within a relative 1e-13 .. 1e-7 of R_eps = sec(alpha/2) on either
+    # side: the table's infinite-torus flag is the window rule's verdict
+    rng = random.Random(3)
+    for _ in range(3000):
+        alpha = rng.uniform(0.05, 3.0)
+        sec = 1.0 / math.cos(0.5 * alpha)
+        gap = 10.0 ** rng.uniform(-13.0, -7.0)
+        for R in (sec * (1.0 - gap), sec * (1.0 + gap)):
+            window = ReprSpec(Family.T2WINDOW, R, 3, alpha, 0.0)
+            info = classify_region(R, math.tan(0.5 * alpha))
+            assert info.infinite_t2 == (spec_reason(window) == ""), (R, alpha)
 
 
 def test_region_flags_mapping():

@@ -404,6 +404,15 @@ def test_cli_classify(capsys):
     assert doc["flags"]["infinite_t2"] is False
 
 
+def test_cli_classify_below_r_eps_lists_no_window(capsys):
+    # just below R_eps = sqrt(1.25) no window builds, so none is listed
+    rc = cli.main(["classify", "--R", "1.1180339328481954", "--eps", "0.5"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["label"] == "SphereTorus"
+    assert doc["flags"]["infinite_t2"] is False
+
+
 def test_cli_build_verify_file_flow(tmp_path, capsys):
     path = tmp_path / "rep.json"
     rc = cli.main(["build", "s2min", "--R", "0.5", "--n", "6",
@@ -631,10 +640,12 @@ _CLOCK_4_2 = {"n": 4, "k": 2, "matrices": {
     ("nc-torus", _CLOCK_4_2, "gcd(n, k) must be 1, got n=4, k=2"),
     ("nc-torus", {"nu": [2, 0]}, "wrap phase must be unimodular"),
     ("t2", {"alpha": 0.123}, f"alpha must be {TWO_PI * 2 / 5!r}, got 0.123"),
-    ("s2min", "eps", "eps must be tan(alpha/2) = "),
+    ("s2min", "eps", "eps must be "),
+    ("s2min", "beta", "beta must be "),
 ], ids=["beta-zero", "beta-neg", "k-zero", "k-neg", "t2-k-null",
         "t2-below-window", "s2min-n1", "window-rational", "window-below-sec",
-        "fuzzy-R", "nc-gcd", "nc-nu", "t2-alpha", "eps-off-by-1e-9"])
+        "fuzzy-R", "nc-gcd", "nc-nu", "t2-alpha", "eps-off-by-1e-9",
+        "beta-edited"])
 def test_cli_verify_checks_the_document_spec(base, edit, error, tmp_path,
                                              capsys):
     # the spec's scalars must pass the rule its builder applies, whatever
@@ -643,6 +654,8 @@ def test_cli_verify_checks_the_document_spec(base, edit, error, tmp_path,
     if edit == "eps":
         eps = doc["eps"] * (1 + 1e-9)
         edit, error = {"eps": eps}, f"{error}{doc['eps']!r}, got {eps!r}"
+    elif edit == "beta":
+        edit, error = {"beta": 0.123}, f"{error}{doc['beta']!r}, got 0.123"
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(dict(doc, **edit)))
     rc = cli.main(["verify", str(path)])

@@ -26,7 +26,6 @@ from spheretorus.epsring import (
     cos_alpha,
     phase,
     sin_alpha,
-    sum_scalars,
 )
 
 _fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -280,9 +279,9 @@ def test_power_squares_only_below_the_top_bit(monkeypatch):
 # fast paths against the general route -----------------------------------------
 #
 # Products with a constant factor skip the convolution and the circle division,
-# EpsScalar.of builds rationals without CRat, phase is memoised, and
-# sum_scalars canonicalises once.  Canonical form is unique, so each must give
-# the raw data of the general route exactly.
+# EpsScalar.of builds rationals without CRat, and phase is memoised.  Canonical
+# form is unique, so each must give the raw data of the general route exactly.
+# Sums have one route, EpsScalar.__add__, which the ring axioms above check.
 
 _KINDS = ("zero", "one", "const", "circle", "poly")
 
@@ -346,19 +345,7 @@ def test_of_rational_matches_crat_route(value):
     assert _data(EpsScalar.of(value)) == _data(EpsScalar((CRat.of(value),)))
 
 
-def test_sum_scalars_matches_left_fold_of_add():
-    rng = random.Random(11)
-    for _ in range(300):
-        terms = [_rand_scalar(rng, rng.choice(_KINDS))
-                 for _ in range(rng.randint(3, 6))]
-        if rng.random() < 0.2:
-            terms.append(-terms[0])  # cancellation down to a lower den_pow
-        assert _data(sum_scalars(terms)) == _data(reduce(add, terms)), terms
-    assert sum_scalars([]) is ES_ZERO
-    assert sum_scalars([ES_ZERO, ES_ZERO, ES_ZERO]) is ES_ZERO
-
-
-def test_sum_scalars_lifts_mixed_den_pow():
+def test_addition_lifts_mixed_den_pow():
     # (1 + eps^2)/(1 + eps^2)^3 + (2/3)/(1 + eps^2) - 1/4 is, over
     # (1 + eps^2)^2, the numerator 1 + (2/3)(1 + eps^2) - (1/4)(1 + eps^2)^2
     terms = [ES_CIRCLE_INV ** 3, ES_EPS * ES_EPS * ES_CIRCLE_INV ** 3,
@@ -366,7 +353,6 @@ def test_sum_scalars_lifts_mixed_den_pow():
              EpsScalar.of(Fraction(-1, 4))]
     want = EpsScalar((Fraction(17, 12), 0, Fraction(1, 6), 0,
                       Fraction(-1, 4)), 2)
-    assert _data(sum_scalars(terms)) == _data(want)
     assert _data(reduce(add, terms)) == _data(want)
 
 
