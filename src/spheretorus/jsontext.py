@@ -4,9 +4,9 @@ Numbers are written with 17 significant digits, so emit -> load -> emit is
 byte-identical.  Matrices are complex ndarrays, rendered as rows of
 [re, im] pairs; a run of zero entries is "[0, 0]" repeated, so only the
 nonzero entries (O(n) of the n^2 in a banded representation) are
-formatted.  This module does not import numpy: ndarrays and numpy scalars
-are recognised through ``sys.modules``, because until numpy has been
-imported no such object can exist.
+formatted.  Every other number is a Python int or float.  This module does
+not import numpy: an ndarray is recognised through ``sys.modules``, because
+until numpy has been imported none can exist.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from .errors import DomainError
 
 
 def _num_str(x: Union[int, float]) -> str:
-    if isinstance(x, bool):
-        raise TypeError("booleans are not numbers here")
     if isinstance(x, int):
-        return str(int(x))
-    # any other number is a numpy scalar, so numpy is loaded
-    if not isinstance(x, float) and isinstance(x, sys.modules["numpy"].integer):
         return str(int(x))
     xf = float(x)
     if not math.isfinite(xf):
@@ -36,10 +31,7 @@ def _num_str(x: Union[int, float]) -> str:
 
 
 def _is_number(v) -> bool:
-    if isinstance(v, (int, float)):
-        return not isinstance(v, bool)
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(v, (np.integer, np.floating))
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _inline_list(lst: list) -> bool:
@@ -106,8 +98,6 @@ def _render(obj, pad: Optional[str]) -> str:
         items = [_quote(str(k)) + colon + _render(v, child)
                  for k, v in obj.items()]
         return _block("{", items, "}", pad)
-    if _is_number(obj):  # a numpy scalar
-        return _num_str(obj)
     np = sys.modules.get("numpy")
     if np is not None and isinstance(obj, np.ndarray):
         return _block("[", _matrix_rows(obj, sep), "]", pad)

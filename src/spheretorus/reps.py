@@ -16,13 +16,14 @@ included as independent cross-checks of the scaffold.
 One constructor, ``_band``, fills that scaffold for every family from its
 eigen-angles, its coupling vector and an optional wrap corner.  Each spec
 family's existence rule is stated once, in ``spec_reason``; ``build(spec)``
-applies it and makes all five, and ``verify_relations`` picks the relation
-table: the deformed relations, the fuzzy sphere's su(2) relations, or the
-Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and
-am once, as nonzero diagonals (``_Diags``, the DIA format) that residuals,
-``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals).  Dense
-input (a v1 document, an edited matrix) is read once, off-band entries
-included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.
+applies it and makes all five (``build_s2``, ``build_t2_*`` name it too),
+and ``verify_relations`` holds every relation table: the deformed
+relations, the fuzzy sphere's su(2) relations, or the Weyl relation of an
+``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and am once, as nonzero
+diagonals (``_Diags``, the DIA format) that residuals, ``rep_evaluate`` and
+``check_irreducible`` use in O(n * diagonals).  Dense input (a v1 document,
+an edited matrix) is read once, off-band entries included; ``.u``, ``.ap``
+and ``.am`` are read-only dense copies.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class ReprSpec:
         if abs(mag - 1.0) > 1e-9:
             raise InvalidSpec(f"wrap phase must be unimodular, |nu| = {mag!r}")
         set_(self, "nu", nu)
+        if self.family == Family.FUZZY_SPHERE and self.n < 2:
+            raise InvalidSpec(f"fuzzy sphere needs n >= 2, got {self.n}")
 
     @property
     def eps(self) -> float:
@@ -182,8 +185,7 @@ def _band(angles, couplings, corner: Optional[complex] = None):
 
 def spec_reason(spec: ReprSpec) -> str:
     """"" if build makes spec, else why not: each spec family's one existence
-    rule.  A fuzzy sphere must be the spec its n >= 2 fixes (below, this
-    raises)."""
+    rule.  A fuzzy sphere must be the spec its n fixes."""
     if spec.family in (Family.S2MIN, Family.S2NONMIN):
         if spec.n < 2:
             return f"sphere chain needs n >= 2, got {spec.n}"
@@ -214,6 +216,9 @@ def build(spec: ReprSpec) -> ReprMatrices:
     A fuzzy sphere's couplings come from su(2); every other family's are
     sqrt(|C|^2) at m = lo .. lo + n - 1 (lo = -M for a window, else 0),
     clamped at 0 for float dust, and m = lo is a cycle's wrap corner.
+
+    ``build_s2``, ``build_t2_finite`` and ``build_t2_window`` are names for
+    it, kept as package exports that the demos and the benchmark call.
     """
     reason = spec_reason(spec)
     if reason:
@@ -232,28 +237,7 @@ def build(spec: ReprSpec) -> ReprMatrices:
     return ReprMatrices(spec, *_band(angles, coup[1:], corner))
 
 
-def _only(spec: ReprSpec, refusal: str, *families: Family) -> ReprSpec:
-    if spec.family not in families:
-        raise InvalidSpec(f"{refusal} {spec.family.value!r}")
-    return spec
-
-
-def build_s2(spec: ReprSpec) -> ReprMatrices:
-    """build(spec) of a sphere-type chain (s2min, s2nonmin) only."""
-    return build(_only(spec, "build_s2 cannot build family", Family.S2MIN,
-                       Family.S2NONMIN))
-
-
-def build_t2_finite(spec: ReprSpec) -> ReprMatrices:
-    """build(spec) of a torus-type cycle at alpha = 2*pi*k/n only."""
-    return build(_only(spec, "build_t2_finite cannot build", Family.T2))
-
-
-def build_t2_window(spec: ReprSpec) -> ReprMatrices:
-    """build(spec) of a (2M+1)-dimensional window into the infinite torus
-    lattice only; verify_relations flags its two boundary indices."""
-    return build(_only(spec, "build_t2_window cannot build",
-                       Family.T2WINDOW))
+build_s2 = build_t2_finite = build_t2_window = build
 
 
 # diagonal-offset kernel ------------------------------------------------------
@@ -395,30 +379,38 @@ def split_xyzw(m: ReprMatrices):
 def verify_relations(m: Union[ReprMatrices, NcTorusPair]) -> ResidualReport:
     """Frobenius residuals of the defining relations of m's family.
 
-    A deformed family is checked against the deformed relations, the fuzzy
-    sphere against su(2) and the unit Casimir, and an NcTorusPair against
-    the Weyl relation.  For a window build, boundary rows and columns are
-    excluded from the norms (truncation corrupts them) and reported in
-    ``excluded``.
+    The relation table is picked by family, after one shared setup of the
+    coordinates: the fuzzy sphere is checked against su(2) and the unit
+    Casimir, every other spec family against the deformed relations, and an
+    NcTorusPair against the Weyl relation.  For a window build, boundary rows
+    and columns are excluded from the norms (truncation corrupts them) and
+    reported in ``excluded``.
     """
     if isinstance(m, NcTorusPair):
         return ResidualReport(nc_torus_residuals(m.u, m.v, m.n, m.k))
-    if m.spec.family == Family.FUZZY_SPHERE:
-        return ResidualReport(fuzzy_sphere_residuals(m))
     u, x, y, z, w = _coords(m)
     eps, R = m.spec.eps, m.spec.R
     eye = _Diags.eye(u.n)
-    deltas = {
-        "comm_xy": (x @ y - y @ x) - 1j * eps * z,
-        "comm_yz": (y @ z - z @ y) - 1j * eps * (w @ x + x @ w),
-        "comm_zx": (z @ x - x @ z) - 1j * eps * (w @ y + y @ w),
-        "circle": z @ z + w @ w - eye,
-        "radius": x @ x + y @ y - R * eye - w,
-        "unitary": u @ u.H - eye,
-        "herm_x": x - x.H,
-        "herm_y": y - y.H,
-        "herm_z": z - z.H,
-    }
+    if m.spec.family == Family.FUZZY_SPHERE:
+        deltas = {
+            "comm_xy": (x @ y - y @ x) - 1j * eps * z,
+            "comm_yz": (y @ z - z @ y) - 1j * eps * x,
+            "comm_zx": (z @ x - x @ z) - 1j * eps * y,
+            "casimir": x @ x + y @ y + z @ z - eye,
+            "unitary": u @ u.H - eye,
+        }
+    else:
+        deltas = {
+            "comm_xy": (x @ y - y @ x) - 1j * eps * z,
+            "comm_yz": (y @ z - z @ y) - 1j * eps * (w @ x + x @ w),
+            "comm_zx": (z @ x - x @ z) - 1j * eps * (w @ y + y @ w),
+            "circle": z @ z + w @ w - eye,
+            "radius": x @ x + y @ y - R * eye - w,
+            "unitary": u @ u.H - eye,
+            "herm_x": x - x.H,
+            "herm_y": y - y.H,
+            "herm_z": z - z.H,
+        }
     excluded: Tuple[int, ...] = ()
     keep = None
     if m.spec.family == Family.T2WINDOW:
@@ -510,18 +502,9 @@ def build_fuzzy_sphere(n: int) -> ReprMatrices:
     return build(_fuzzy_spec(n))
 
 
+# the su(2) table of verify_relations, as the plain dict the package exports
 def fuzzy_sphere_residuals(m: ReprMatrices) -> Dict[str, float]:
-    """Cyclic su(2)-type residuals and the unit Casimir."""
-    u, x, y, z, _ = _coords(m)
-    eps = m.spec.eps
-    eye = _Diags.eye(u.n)
-    return {
-        "comm_xy": ((x @ y - y @ x) - 1j * eps * z).norm(),
-        "comm_yz": ((y @ z - z @ y) - 1j * eps * x).norm(),
-        "comm_zx": ((z @ x - x @ z) - 1j * eps * y).norm(),
-        "casimir": (x @ x + y @ y + z @ z - eye).norm(),
-        "unitary": (u @ u.H - eye).norm(),
-    }
+    return verify_relations(m).residuals
 
 
 def nc_torus_reason(n: int, k: int, nu: complex) -> str:

@@ -809,3 +809,70 @@ def test_cli_verify_failure_writes_an_error_record(capsys):
     lines = out.err.splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+
+
+# CLI paths that no other test runs in process ---------------------------------
+
+
+def _s2nonmin_flags():
+    """Flags of the first existing non-minimal chain at R = 1.2, n = 5."""
+    rec = next(r for r in enumerate_s2_nonminimal(1.2, 5) if r.exists)
+    assert rec.k == 1
+    assert rec.alpha == pytest.approx(1.2566370614359172, abs=1e-12)
+    assert rec.beta_prime == pytest.approx(-3.383760486620959, abs=1e-12)
+    return ["s2nonmin", "--R", "1.2", "--n", "5", "--alpha", repr(rec.alpha),
+            "--beta-prime", repr(rec.beta_prime), "--k", str(rec.k)]
+
+
+def test_cli_s2nonmin_builds_verifies_and_draws(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    flags = _s2nonmin_flags()
+    assert cli.main(["build", *flags, "--out", str(path)]) == 0
+    out = capsys.readouterr()
+    assert (json.loads(out.out), out.err) == ({"out": str(path)}, "")
+    assert cli.main(["verify", str(path)]) == 0
+    from_file = capsys.readouterr()
+    doc = json.loads(from_file.out)
+    assert (doc["family"], doc["ok"], doc["irreducible"]) == (
+        "s2nonmin", True, True)
+    assert from_file.err == ""
+    # a fresh build verifies to the same report as its file
+    assert cli.main(["verify", *flags]) == 0
+    assert capsys.readouterr() == from_file
+    assert cli.main(["diagram", *flags]) == 0
+    out = capsys.readouterr()
+    assert "<polyline" in out.out and out.err == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["build", "t2", "--R", "0.5", "--n", "11", "--k", "1"],
+     "no admissible beta': below the finite-torus threshold"),
+    (["build", "nc-torus", "--n", "1", "--k", "1"],
+     "torus reference needs n >= 2, got 1"),
+], ids=["t2-below-threshold", "nc-torus-n1"])
+def test_cli_build_refusal_is_one_record(argv, error, capsys):
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": error}
+
+
+def test_cli_diagram_below_minus_one_forbids_the_whole_disc(capsys):
+    # at R = -2 the coupling sec(1/2)*cos(theta') - 2 is negative everywhere
+    argv = ["diagram", "s2nonmin", "--R", "-2", "--n", "5", "--alpha", "1",
+            "--beta-prime", "-1"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert ('<circle cx="220.000" cy="220.000" r="200.000" fill="#f3d6d6"'
+            in out.out)
+    assert "<path" not in out.out and "<polyline" in out.out
+
+
+def test_cli_sweep_lists_only_windings_coprime_to_n(capsys):
+    assert cli.main(["sweep", "--n", "9", "--R=1.5", "--format", "csv"]) == 0
+    out = capsys.readouterr()
+    rows = [line.split(",") for line in out.out.splitlines()[1:]]
+    # gcd(9, 3) = 3, so k = 3 is no cycle of length 9
+    assert [row[3] for row in rows if row[2] == "t2"] == ["1", "2", "4"]
+    assert out.err == ""

@@ -536,6 +536,25 @@ def test_build_makes_the_fuzzy_sphere_from_its_spec():
         build(ReprSpec(Family.NC_TORUS, 1.0, 5, 2 * TWO_PI / 5, 0.0, k=2))
 
 
+def test_fuzzy_sphere_spec_needs_two_dimensions():
+    # its eps, 2/sqrt(n^2 - 1), has no value at n = 1
+    with pytest.raises(InvalidSpec, match=r"^fuzzy sphere needs n >= 2, got 1$"):
+        ReprSpec(Family.FUZZY_SPHERE, 1.0, 1, 0.5, 0.0)
+    # every other refusal keeps its own message
+    with pytest.raises(InvalidSpec, match="dimension must be positive"):
+        ReprSpec(Family.FUZZY_SPHERE, 1.0, 0, 0.5, 0.0)
+    with pytest.raises(InvalidSpec, match="alpha must lie in"):
+        ReprSpec(Family.FUZZY_SPHERE, 1.0, 1, 4.0, 0.0)
+    assert ReprSpec(Family.FUZZY_SPHERE, 1.0, 2, 0.5, 0.0).eps == 2 / math.sqrt(3)
+
+
+def test_family_entry_points_are_names_for_build():
+    assert build_s2 is build_t2_finite is build_t2_window is build
+    # like build, each makes whatever family its spec names
+    spec = ReprSpec(Family.T2, 3.0, 5, 0.0, math.pi, k=1)
+    assert _diags(build_s2(spec)) == _diags(build(spec))
+
+
 _GAPS = (0.5, 0.999, 1.001, 2.0)  # eigenvalue gaps in units of tol
 _WEIGHTS = (1.0, 0.3, 0.5j, 2e-12, 6e-13, 5e-13, 1e-13)  # around 1e-12
 
