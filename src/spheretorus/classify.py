@@ -4,7 +4,8 @@ A sphere-type chain of length n has |C|^2 zero at both ends and positive in
 between (``chain_reason``); a torus-type cycle has n*alpha a full number of
 turns and |C|^2 positive at every point (``cycle_reason``).  The enumerator,
 ``t2_beta_window`` and the ``reps`` builders all apply these two tests.  The
-region of the (R, eps) plane decides which families exist at all.
+region of the (R, eps) plane decides which families exist at all; its
+table, ``classify_region``, alone states the boundary R_eps, for every caller.
 
 The scalar chain core (the ``Family`` enum, the coupling ``c_squared`` and
 the angle/deformation conversions) lives here too, and ``reps`` re-exports
@@ -125,12 +126,15 @@ class RegionInfo:
         }
 
 
-def _check_domain(R: float, grid: int = 1) -> None:
-    """The one argument check of every entry point: R finite, grid >= 1."""
+def _check_domain(R: float, grid: int = 1, n: int = 2) -> None:
+    """The one argument check of every entry point: R finite, grid >= 1 and
+    a chain length n >= 2."""
     if not math.isfinite(R):
         raise DomainError(f"R must be a finite number, got {R!r}")
     if grid < 1:
         raise DomainError(f"grid must be at least 1, got {grid}")
+    if n < 2:
+        raise DomainError(f"chain length must be at least 2, got {n}")
 
 
 def _rhat(alpha: float, n: int) -> float:
@@ -139,44 +143,40 @@ def _rhat(alpha: float, n: int) -> float:
     return -math.cos(0.5 * n * alpha) / math.cos(0.5 * alpha)
 
 
+def _bisect(f, lo: float, hi: float, tol: float, zero_moves_hi: bool) -> float:
+    """The last midpoint of bisecting f's sign change on [lo, hi], at |f| <
+    tol or after 200 halvings; a zero moves hi if zero_moves_hi, else lo."""
+    f_lo = f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) < tol:
+            break
+        if f_lo * f_mid < 0.0 or (zero_moves_hi and f_mid == 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return mid
+
+
 def solve_minimal_s2(R: float, n: int, tol: float = 1e-12) -> SolutionRecord:
     """The unique minimal sphere chain angle, by bisection.
 
-    Exists iff -1 < R < sec(pi/n); then beta' = -n*alpha/2 and the chain
-    spans the allowed arc symmetrically.
+    A root exists iff -1 < R < sec(pi/n), and its chain iff R < R_eps there
+    (``minimal_reason``); beta' = -n*alpha/2 spans the arc symmetrically.
     """
-    _check_domain(R)
-    if n < 2:
-        raise DomainError(f"chain length must be at least 2, got {n}")
-    r_max = 1.0 / math.cos(math.pi / n)
-    none = SolutionRecord(
-        family=Family.S2MIN, R=R, n=n, k=None, alpha=None, beta_prime=None,
-        exists=False,
-        reject_reason=f"no root: R outside (-1, sec(pi/n)) = (-1, {r_max:.6g})",
-    )
-    if not -1.0 < R < r_max:
-        return none
-    lo = 1e-13
-    hi = (TWO_PI / n) * (1.0 - 1e-13)
-    f_lo = _rhat(lo, n) - R
-    f_hi = _rhat(hi, n) - R
-    if not f_lo < 0.0 < f_hi:
-        return none  # R within float dust of an endpoint
-    alpha = 0.5 * (lo + hi)
-    for _ in range(200):
-        alpha = 0.5 * (lo + hi)
-        f_mid = _rhat(alpha, n) - R
-        if abs(f_mid) < tol:
-            break
-        if f_mid < 0.0:
-            lo = alpha
-        else:
-            hi = alpha
-    return SolutionRecord(
-        family=Family.S2MIN, R=R, n=n, k=None, alpha=alpha,
-        beta_prime=-0.5 * n * alpha, exists=True,
-        residual=abs(_rhat(alpha, n) - R),
-    )
+    _check_domain(R, n=n)
+    reason = ("no root: R outside (-1, sec(pi/n)) = "
+              f"(-1, {1.0 / math.cos(math.pi / n):.6g})")
+    lo, hi = 1e-13, (TWO_PI / n) * (1.0 - 1e-13)
+    if _rhat(lo, n) - R < 0.0 < _rhat(hi, n) - R:
+        alpha = _bisect(lambda a: _rhat(a, n) - R, lo, hi, tol, True)
+        reason = minimal_reason(R, alpha)
+    if reason:
+        return SolutionRecord(Family.S2MIN, R, n, None, None, None, False,
+                              reason)
+    return SolutionRecord(Family.S2MIN, R, n, None, alpha, -0.5 * n * alpha,
+                          True, residual=abs(_rhat(alpha, n) - R))
 
 
 def chain_reason(R: float, n: int, alpha: float, beta_prime: float) -> str:
@@ -242,9 +242,7 @@ def enumerate_s2_nonminimal(
     """
     import numpy as np
 
-    _check_domain(R, grid)
-    if n < 2:
-        raise DomainError(f"chain length must be at least 2, got {n}")
+    _check_domain(R, grid, n)
     records: List[SolutionRecord] = []
 
     def h(alpha: float, k: int) -> float:
@@ -266,30 +264,18 @@ def enumerate_s2_nonminimal(
         near = np.abs(hs) < 1e-9 * (1.0 + abs(R))
         brackets = defined[:-1] & defined[1:] & (ks[:-1] == ks[1:]) & (
             ((hs[:-1] < 0.0) != (hs[1:] < 0.0)) | near[:-1] | near[1:])
-        roots = []
         for i in np.flatnonzero(brackets).tolist():
             k = int(ks[i])
             a1, a2 = float(pts[i]), float(pts[i + 1])
             h1, h2 = h(a1, k), h(a2, k)
             if h1 == 0.0:
-                roots.append((a1, k))
+                alpha = a1
+            elif h1 * h2 < 0.0:
+                alpha = _bisect(lambda a: h(a, k), a1, a2, tol, False)
+            else:
                 continue
-            if h1 * h2 >= 0.0:
-                continue
-            for _ in range(100):
-                mid = 0.5 * (a1 + a2)
-                hm = h(mid, k)
-                if abs(hm) < tol:
-                    break
-                if h1 * hm < 0.0:
-                    a2 = mid
-                else:
-                    a1, h1 = mid, hm
-            roots.append((0.5 * (a1 + a2), k))
-        for alpha, k in roots:
-            if records and records[-1].branch == "A" and \
-                    abs((records[-1].alpha or 0.0) - alpha) < 1e-9:
-                continue
+            if records and abs(records[-1].alpha - alpha) < 1e-9:
+                continue  # a root at the end two brackets share
             beta_prime = math.pi * k - 0.5 * n * alpha
             records.append(
                 _candidate(R, n, "A", k, alpha, beta_prime, abs(h(alpha, k)))
@@ -384,6 +370,14 @@ def classify_region(R: float, eps: float) -> RegionInfo:
         label = RegionLabel.TORUS
     flags = _REGION_FLAGS[label]
     return RegionInfo(label, R, eps, r_eps, *flags)
+
+
+def minimal_reason(R: float, alpha: float) -> str:
+    """"" if the region table lists a minimal chain at (R, tan(alpha/2))."""
+    info = classify_region(R, math.tan(0.5 * alpha))
+    return "" if info.minimal_s2 else (
+        f"no minimal chain in region {info.label.value}: R = {R!r}, "
+        f"R_eps = sqrt(1 + tan^2(alpha/2)) = {info.R_eps!r}")
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,6 @@ SWEEP_HEADER = (
 def _csv_num(x: Optional[float]) -> str:
     if x is None:
         return ""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
     if float(x) == 0.0:
         return "0"
     return "%.12g" % float(x)

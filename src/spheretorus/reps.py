@@ -15,15 +15,15 @@ included as independent cross-checks of the scaffold.
 
 One constructor, ``_band``, fills that scaffold for every family from its
 eigen-angles, its coupling vector and an optional wrap corner.  Each spec
-family's existence rule is stated once, in ``spec_reason``; ``build(spec)``
-applies it and makes all five (``build_s2``, ``build_t2_*`` name it too),
-and ``verify_relations`` holds every relation table: the deformed
-relations, the fuzzy sphere's su(2) relations, or the Weyl relation of an
-``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and am once, as nonzero
-diagonals (``_Diags``, the DIA format) that residuals, ``rep_evaluate`` and
-``check_irreducible`` use in O(n * diagonals).  Dense input (a v1 document,
-an edited matrix) is read once, off-band entries included; ``.u``, ``.ap``
-and ``.am`` are read-only dense copies.
+family's existence rule is stated once, in ``spec_reason`` (R_eps from the
+region table); ``build(spec)`` applies it and makes all five (``build_s2``,
+``build_t2_*`` name it too), and ``verify_relations`` holds every relation
+table: the deformed relations, the fuzzy sphere's su(2) relations, or the
+Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and
+am once, as nonzero diagonals (``_Diags``, the DIA format) that residuals,
+``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals).  Dense
+input (a v1 document, an edited matrix) is read once, off-band entries
+included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from .classify import (
     alpha_of_epsilon,
     c_squared,
     chain_reason,
+    classify_region,
     cycle_reason,
     epsilon_of_alpha,
+    minimal_reason,
 )
 from .errors import InvalidSpec
 
@@ -184,20 +186,23 @@ def _band(angles, couplings, corner: Optional[complex] = None):
 
 
 def spec_reason(spec: ReprSpec) -> str:
-    """"" if build makes spec, else why not: each spec family's one existence
-    rule.  A fuzzy sphere must be the spec its n fixes."""
+    """"" if build makes spec, else why not: each spec family's one rule, R_eps
+    from the region table.  A fuzzy sphere must be the spec its n fixes."""
     if spec.family in (Family.S2MIN, Family.S2NONMIN):
         if spec.n < 2:
             return f"sphere chain needs n >= 2, got {spec.n}"
         if spec.family == Family.S2MIN and spec.k is not None:
             return f"a minimal chain has no winding integer, got k={spec.k}"
-        return chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
+        reason = chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
+        if reason or spec.family == Family.S2NONMIN:
+            return reason
+        return minimal_reason(spec.R, spec.alpha)
     if spec.family == Family.T2:
         return cycle_reason(spec.R, spec.n, spec.k, spec.beta_prime)
     if spec.family == Family.T2WINDOW:
-        sec = 1.0 / math.cos(0.5 * spec.alpha)
-        if spec.R < sec:
-            return (f"window needs R >= sec(alpha/2) = {sec:.12g}, "
+        info = classify_region(spec.R, spec.eps)
+        if not info.infinite_t2:
+            return (f"window needs R >= sec(alpha/2) = {info.R_eps:.12g}, "
                     f"got R = {spec.R!r}")
         turn = spec.alpha / TWO_PI
         near = Fraction(turn).limit_denominator(64)

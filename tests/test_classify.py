@@ -337,14 +337,17 @@ def test_region_classification_at_half_eps():
 
 
 def test_region_reports_a_window_only_where_one_builds():
-    # R within a relative 1e-13 .. 1e-7 of R_eps = sec(alpha/2) on either
-    # side: the table's infinite-torus flag is the window rule's verdict
+    # R within a relative 1e-13 .. 1e-7, and 1e-16 .. 1e-13, of R_eps =
+    # sec(alpha/2) on either side, where 1/cos(alpha/2) and
+    # sqrt(1 + eps^2) round apart: the table's infinite-torus flag is the
+    # window rule's verdict
     rng = random.Random(3)
     for _ in range(3000):
         alpha = rng.uniform(0.05, 3.0)
         sec = 1.0 / math.cos(0.5 * alpha)
-        gap = 10.0 ** rng.uniform(-13.0, -7.0)
-        for R in (sec * (1.0 - gap), sec * (1.0 + gap)):
+        gaps = (10.0 ** rng.uniform(-13.0, -7.0),
+                10.0 ** rng.uniform(-16.0, -13.0))
+        for R in (sec * (1.0 + s * gap) for gap in gaps for s in (-1, 1)):
             window = ReprSpec(Family.T2WINDOW, R, 3, alpha, 0.0)
             info = classify_region(R, math.tan(0.5 * alpha))
             assert info.infinite_t2 == (spec_reason(window) == ""), (R, alpha)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from spheretorus.algebra import AlgebraContext, ContextMismatch
 from spheretorus.classify import (
+    classify_region,
     enumerate_s2_nonminimal,
     solve_minimal_s2,
     t2_beta_window,
@@ -152,19 +153,40 @@ def _boundary_draws(end, count=300, seed=16):
 
 @pytest.mark.parametrize("end", ["low", "high"])
 def test_every_solved_minimal_chain_builds(end):
-    # every chain the solver reports must build: near R = -1 every |C|^2
-    # scales with 1 + R, so an absolute interior floor would reject chains
-    # that verify
+    # every chain the solver reports must build, and the region table must
+    # list it: near R = -1 every |C|^2 scales with 1 + R, so an absolute
+    # interior floor would reject chains that verify; near sec(pi/n) the
+    # solved R lies within float dust of R_eps = sqrt(1 + tan^2(alpha/2))
     solved = 0
     for R, n in _boundary_draws(end):
         rec = solve_minimal_s2(R, n)
         if not rec.exists:
             continue
         solved += 1
+        assert classify_region(R, math.tan(0.5 * rec.alpha)).minimal_s2, (R, n)
         m = build_s2(ReprSpec(Family.S2MIN, R, n, rec.alpha, rec.beta_prime))
         assert verify_relations(m).ok(1e-10 * n), (R, n)
         assert check_irreducible(m), (R, n)
     assert solved > 250
+
+
+def test_every_enumerated_nonminimal_chain_is_listed():
+    # R above 1 at log-spaced gaps, and R at log-spaced gaps either side of
+    # a rational angle's R_eps = sec(pi*k'/n), where branch B's chains lie
+    rng = random.Random(20)
+    live = 0
+    for _ in range(300):
+        n = rng.randrange(3, 33)
+        kp = rng.randrange(1, (n + 1) // 2)
+        gap = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -1.0)
+        for R in (1.0 + 10.0 ** rng.uniform(-9.0, 1.0),
+                  (1.0 + gap) / math.cos(math.pi * kp / n)):
+            for rec in enumerate_s2_nonminimal(R, n):
+                if rec.exists:
+                    live += 1
+                    info = classify_region(R, math.tan(0.5 * rec.alpha))
+                    assert info.nonminimal_s2, (R, n, rec.alpha)
+    assert live > 2000
 
 
 def test_finite_torus_residuals_and_wrap_independence():

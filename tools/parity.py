@@ -123,11 +123,19 @@ def _family_argvs():
     rec = next(r for r in enumerate_s2_nonminimal(1.2, 5) if r.exists)
     live = ["--R", "1.2", "--n", "5", "--alpha", repr(rec.alpha),
             "--beta-prime", repr(rec.beta_prime), "--k", str(rec.k)]
+    # R_eps of alpha = 0.9 and one ulp either side
+    r_eps = math.sqrt(1.0 + math.tan(0.45) ** 2)
+    edge = [math.nextafter(r_eps, 0.0), r_eps, math.nextafter(r_eps, 2.0)]
     return {
         "s2min": [["--R", "0.5", "--n", "5"], ["--R", "-0.557", "--n", "4"],
                   ["--R", "1.003", "--n", "8"], ["--R", "0", "--n", "2"],
                   ["--R", "-1.5", "--n", "5"], ["--R", "0.5", "--n", "1"],
-                  ["--R", "0.5", "--n", "5", "--k", "1"]],
+                  ["--R", "0.5", "--n", "5", "--k", "1"],
+                  # a root of the solver just below sec(pi/3) = 2, where
+                  # R_eps of the root is R to within float dust, and one
+                  # farther below
+                  ["--R", "1.99999999", "--n", "3"],
+                  ["--R", "1.9999", "--n", "3"]],
         "s2nonmin": [live, live[:-2],
                      ["--R", "-2", "--n", "5", "--alpha", "1",
                       "--beta-prime", "-1"],
@@ -144,7 +152,9 @@ def _family_argvs():
                      ["--R", "1.0", "--n", "17", "--alpha", "0.9"],
                      ["--R", "1.5", "--n", "4", "--alpha", "0.9"],
                      ["--R", "1.5", "--n", "9", "--alpha",
-                      repr(2 * math.pi / 6)]],
+                      repr(2 * math.pi / 6)]]
+                    + [["--R", repr(R), "--n", "9", "--alpha", "0.9"]
+                       for R in edge],
         "fuzzy-sphere": [["--n", "2"], ["--n", "9"], ["--n", "1"]],
         "nc-torus": [["--n", "5", "--k", "2"],
                      ["--n", "5", "--k", "2", "--nu-phase",
@@ -214,6 +224,8 @@ def argvs(manifest):
                      ["verify", family, *flags, "--tol", "1e-30"],
                      ["diagram", family, *flags]]
     runs.append(["sweep", "--n", "9", "--R=1.5", "--format", "csv"])
+    runs += [["solve-min-s2", "--R", R, "--n", "3"]
+             for R in ("1.99999999", "1.9999")]
     rng = random.Random(19)
     runs += [_drawn_argv(rng) for _ in range(600)]
     for argv in runs:
