@@ -23,7 +23,9 @@ Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and
 am once, as nonzero diagonals (``_Diags``, the DIA format) that residuals,
 ``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals).  Dense
 input (a v1 document, an edited matrix) is read once, off-band entries
-included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.
+included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.  Products
+and norms sum in offset order and ``rep_evaluate`` in (r, s) key order, so no
+dict insertion order reaches a float.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class ReprSpec:
             raise InvalidSpec(f"alpha must lie in (0, pi), got {self.alpha!r}")
         if self.n < 1:
             raise InvalidSpec(f"dimension must be positive, got {self.n!r}")
+        for name, x in (("R", self.R), ("beta_prime", self.beta_prime)):
+            if not math.isfinite(x):
+                raise InvalidSpec(f"{name} must be a finite number, got {x!r}")
         if self.family in (Family.S2MIN, Family.S2NONMIN):
             set_(self, "beta_prime", _wrap_half_open(self.beta_prime, -TWO_PI))
         elif self.family == Family.T2:
@@ -181,8 +186,8 @@ def _band(angles, couplings, corner: Optional[complex] = None):
     am = {1: np.append(np.asarray(couplings, dtype=complex), 0)}
     if corner is not None:
         am[1 - n] = np.append(np.zeros(n - 1, dtype=complex), corner)
-    am = _Diags.trim(n, am)
-    return _Diags(n, {0: u}), _Diags.trim(n, am.H.d), am
+    am = _Diags(n, am)
+    return _Diags(n, {0: u}), am.H, am
 
 
 def spec_reason(spec: ReprSpec) -> str:
@@ -271,6 +276,8 @@ class _Diags:
     O(n^3).  The format is exact for any matrix: entries off the band of a
     hand-edited file are diagonals like any other.  No array is written
     after the operation that made it, so results share arrays freely.
+    Products and norms sum in offset order, and every other operation acts
+    offset by offset, so no dict order reaches a float.
     """
 
     __slots__ = ("n", "d")
@@ -296,13 +303,6 @@ class _Diags:
         return cls(n, d)
 
     @classmethod
-    def trim(cls, n: int, d: Dict[int, np.ndarray]) -> "_Diags":
-        """d's nonzero diagonals inside the matrix, in offset order as ``of``
-        keeps them (products sum their terms, and round, in that order)."""
-        return cls(n, {a: d[a] for a in sorted(d)
-                       if abs(a) < n and d[a].any()})
-
-    @classmethod
     def eye(cls, n: int) -> "_Diags":
         return cls(n, {0: np.ones(n, dtype=complex)})
 
@@ -322,26 +322,16 @@ class _Diags:
         return _Diags(self.n, {a: c * v for a, v in self.d.items()})
 
     def __matmul__(self, other: "_Diags") -> "_Diags":
-        # (AB)[i, i+a+b] += A[i, i+a] * B[i+a, i+a+b]; diagonals at
-        # |a+b| >= n lie wholly outside the matrix, so their sum vanishes
+        # (AB)[i, i+a+b] += A[i, i+a] * B[i+a, i+a+b], summed in a's order
+        # (each a meets each a+b once); |a+b| >= n lies outside the matrix
         n = self.n
         d: Dict[int, np.ndarray] = {}
-        for a, u in self.d.items():
-            rows = slice(0, n - a) if a >= 0 else slice(-a, n)
-            cols = slice(a, n) if a >= 0 else slice(0, n + a)
+        for a, u in sorted(self.d.items()):
             for b, v in other.d.items():
                 c = a + b
-                if abs(c) >= n:
-                    continue
-                if a == 0:
-                    p = u * v
-                else:
-                    p = np.zeros(n, dtype=complex)
-                    np.multiply(u[rows], v[cols], out=p[rows])
-                if c in d:
-                    d[c] += p
-                else:
-                    d[c] = p
+                if abs(c) < n:
+                    p = u * _shift(v, a)
+                    d[c] = d[c] + p if c in d else p
         return _Diags(n, d)
 
     @property
@@ -353,7 +343,7 @@ class _Diags:
     def norm(self, keep: Optional[np.ndarray] = None) -> float:
         """Frobenius norm over the entries whose row and column are kept."""
         total = 0.0
-        for a, v in self.d.items():
+        for a, v in sorted(self.d.items()):
             if keep is not None:
                 v = v[keep & _shift(keep, a)]
             total += float(np.vdot(v, v).real)
@@ -438,7 +428,7 @@ def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
     # hand-edited u off the diagonal (or a singular one) takes matrix_power
     elementwise = u.d.keys() == {0} and u.d[0].all()
     acc = _Diags(u.n, {})
-    for (r, s), val in vals.items():
+    for (r, s), val in sorted(vals.items()):
         mat = _Diags.eye(u.n)
         for _ in range(abs(r)):
             mat = mat @ (ap if r > 0 else am)

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheretorus.algebra import AlgebraContext, ContextMismatch
+from spheretorus.algebra import AlgebraContext, ContextMismatch, NormalForm
 from spheretorus.classify import (
     classify_region,
     enumerate_s2_nonminimal,
@@ -570,6 +571,24 @@ def test_fuzzy_sphere_spec_needs_two_dimensions():
     assert ReprSpec(Family.FUZZY_SPHERE, 1.0, 2, 0.5, 0.0).eps == 2 / math.sqrt(3)
 
 
+@pytest.mark.parametrize("family, R, n, alpha, beta_prime, k, bad", [
+    (Family.S2NONMIN, math.nan, 5, 1.0, -1.5, None, "R = nan"),
+    (Family.S2NONMIN, 1.2, 5, 1.0, math.inf, None, "beta_prime = inf"),
+    (Family.T2, math.nan, 5, 0.0, 3.0, 1, "R = nan"),
+    (Family.T2, math.inf, 5, 0.0, 3.0, 1, "R = inf"),
+    (Family.T2WINDOW, 1.5, 9, 0.9, math.nan, None, "beta_prime = nan"),
+    (Family.T2WINDOW, 1.5, 9, 0.9, math.inf, None, "beta_prime = inf"),
+])
+def test_spec_refuses_non_finite_parameters(family, R, n, alpha, beta_prime,
+                                            k, bad):
+    # a NaN passes every existence test (each comparison is false), and an
+    # infinite beta' breaks the wrap or a cosine before any test runs
+    name, value = bad.split(" = ")
+    message = rf"^{name} must be a finite number, got {value}$"
+    with pytest.raises(InvalidSpec, match=message):
+        ReprSpec(family, R, n, alpha, beta_prime, k=k)
+
+
 def test_family_entry_points_are_names_for_build():
     assert build_s2 is build_t2_finite is build_t2_window is build
     # like build, each makes whatever family its spec names
@@ -869,6 +888,44 @@ def test_evaluate_matches_dense_oracle_for_non_diagonal_winding():
         _assert_evaluates_like_oracle(text, edited, ctx)
 
 
+# summation order -------------------------------------------------------------
+
+# t2 cycles whose residuals moved in the last digit when products summed
+# their diagonals in dict insertion order
+_ORDER_CYCLES = ((1.8, 56, 11), (2.5, 52, 7), (2.5, 56, 13), (2.5, 60, 11),
+                 (2.5, 64, 3), (3.0, 24, 1), (3.0, 64, 11))
+
+
+def _t2_cycle(R, n, k):
+    win = t2_beta_window(R, n, k)
+    bp = math.pi if win.kind == "full" else 0.5 * (win.lo + win.hi)
+    return build(ReprSpec(Family.T2, R, n, 0.0, bp, k=k))
+
+
+def test_residuals_do_not_depend_on_offset_order():
+    for R, n, k in _ORDER_CYCLES:
+        m = _t2_cycle(R, n, k)
+        residuals = verify_relations(m).residuals
+        for i in range(3):
+            # the same matrix with its offset dict in reverse order
+            diags = list(m.diags)
+            d = diags[i]
+            diags[i] = type(d)(d.n, dict(reversed(d.d.items())))
+            turned = ReprMatrices(m.spec, *diags)
+            assert verify_relations(turned).residuals == residuals, (n, k, i)
+            assert check_irreducible(turned) == check_irreducible(m)
+
+
+def test_evaluation_does_not_depend_on_term_order():
+    m = _t2_cycle(2.5, 52, 7)
+    f = parse_expr("ap + ap*u + ap*u^2 + ap*ud",
+                   AlgebraContext(Fraction(5, 2)))
+    assert len(f.terms) == 4
+    images = {rep_evaluate(NormalForm(f.ctx, dict(terms)), m).tobytes()
+              for terms in itertools.permutations(f.terms.items())}
+    assert len(images) == 1
+
+
 # band storage ----------------------------------------------------------------
 
 
@@ -891,12 +948,10 @@ def _every_family():
     for family in sorted(_REFS):
         for n in (2, 5, 9, 16):
             yield from map(build, _specs(family, n))
-    # cycles whose residuals round differently unless the band's diagonals
-    # are summed in the order a dense read gives them
-    for n, k, R in ((24, 1, 3.0), (32, 3, 2.257)):
-        win = t2_beta_window(R, n, k)
-        bp = math.pi if win.kind == "full" else 0.5 * (win.lo + win.hi)
-        yield build(ReprSpec(Family.T2, R, n, 0.0, bp, k=k))
+    # cycles whose residuals depend on the order in which products sum
+    # their diagonals
+    yield _t2_cycle(3.0, 24, 1)
+    yield _t2_cycle(2.257, 32, 3)
     for n in (2, 5, 16):
         yield build_fuzzy_sphere(n)
 

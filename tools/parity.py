@@ -18,7 +18,7 @@ that moved.  It covers:
 - ``rep/``: every family at n = 1..64 (emitted bytes, residual reprs and
   irreducibility, before and after load -> re-emit; the refusal where the
   family does not exist);
-- ``cycle/``: t2 cycles over every admissible k at R = 1.8 and 2.5;
+- ``cycle/``: t2 cycles over every admissible k at R = 1.8, 2.5 and 3.0;
 - ``enum/``: seeded ``enum-s2`` draws;
 - ``demo/``: exit code, stdout and stderr of the four demos under
   ``-W error``.
@@ -348,7 +348,7 @@ def representations(manifest):
 
 def cycles(manifest):
     """Every admissible winding of a t2 cycle at n = 3..64."""
-    for R in (1.8, 2.5):
+    for R in (1.8, 2.5, 3.0):
         for n in range(3, MAX_N + 1):
             parts = []
             for k in range(1, (n + 1) // 2):
