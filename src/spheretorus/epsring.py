@@ -1,29 +1,34 @@
 """Exact scalar arithmetic for the deformed algebra.
 
-Scalars are rational functions of the deformation parameter ``eps`` of the
-special shape ``p(eps) / (1 + eps^2)^m`` with ``p`` a polynomial whose
-coefficients are complex numbers with rational real and imaginary parts.
-This class of functions is closed under the ring operations, under
-conjugation (``eps`` is self-adjoint), and contains every phase
-``e^{i s alpha}`` through the half-angle substitution ``eps = tan(alpha/2)``.
+Scalars are rational functions of the deformation parameter ``eps`` with
+complex-rational coefficients whose denominators are powers of the two
+linear factors of ``1 + eps^2 = (1 + i eps)(1 - i eps)``.  This class is
+closed under the ring operations and under conjugation (``eps`` is
+self-adjoint, so conjugation swaps the factors), and it contains every phase
+``e^{i s alpha} = ((1 + i eps) / (1 - i eps))^s``, ``eps = tan(alpha/2)``.
 
-Inside an :class:`EpsScalar` the numerator is kept as Gaussian integers over
-one positive common denominator: ``p = (c_0 + c_1 eps + ...) / d`` with each
-``c_k`` a pair ``(re, im)`` of Python ints.  Products and sums are then
-integer convolutions, and normalisation is content / primitive-part
-reduction: divide out the gcd of all parts and ``d``.  Because ``1 + eps^2``
-is monic, dividing it out of an integer numerator stays in the integers.
+An :class:`EpsScalar` keeps the factored form
+``p(eps) (1 + i eps)^a (1 - i eps)^b`` with integers a, b and ``p`` coprime
+to both factors (``p(i) != 0 != p(-i)``).  Both factors are primes of the
+unique factorisation domain Q(i)[eps] (Geddes, Czapor and Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2), so the form is unique once
+``p`` is written as Gaussian integers over one positive denominator ``d``
+with the gcd of every part and ``d`` equal to 1 (the content gcd).
 
-Most products need less than a full canonicalisation (Geddes, Czapor and
-Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).  When one factor is
-a nonzero constant (degree 0, ``den_pow`` 0) the other numerator is scaled
-coefficient by coefficient and only the content gcd is taken again: a
-nonzero element of Q(i) is a unit of Q(i)[eps], so the scaled numerator is
-divisible by ``1 + eps^2`` exactly when the old one was, which for a
-canonical operand with ``den_pow > 0`` it is not; and Z[i] has no zero
-divisors, so no trailing zero appears.  A factor equal to 1 returns the
-other operand.  Canonical form is unique, so each shortcut yields the same
-data as the general path.
+- A product adds the exponents and multiplies the p's: a product of
+  polynomials coprime to a prime is coprime to it, so no division is tried.
+  When one ``p`` is a nonzero constant (every phase, ``1/(1+eps^2)`` and
+  every rational) the other is scaled coefficient by coefficient and only
+  the content gcd is taken again.
+- A sum lifts both operands to the smaller exponents, adds, and peels a
+  linear factor off while ``p(i)`` or ``p(-i)`` vanishes.  Both values are
+  read from alternating sums of the coefficients, so every division is exact.
+
+The closed form ``q / (1 + eps^2)^m`` that ``str``, ``num``, ``den_pow`` and
+``eval`` show is derived on demand: ``m = max(0, -a, -b)`` and
+``q = p (1 + i eps)^(a+m) (1 - i eps)^(b+m)``.  If m > 0 one exponent is 0,
+so ``1 + eps^2`` does not divide ``q``; and by Gauss's lemma in Z[i][eps]
+``q`` has the content of ``p``, so it is in lowest terms over ``d``.
 
 All arithmetic here is exact; floats only appear in :meth:`EpsScalar.eval`.
 :class:`CRat` is the exchange type for single coefficients.
@@ -34,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, zip_longest
+from itertools import chain, cycle, zip_longest
 from math import comb, gcd, lcm
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from .errors import SpheretorusError
 
@@ -154,60 +159,64 @@ def _convolve(a, b) -> list:
     return list(zip(re, im))
 
 
-@lru_cache(maxsize=64)
-def _circle_power(k: int) -> tuple:
-    """(1 + eps^2)^k, written out by the binomial theorem."""
-    out = [(0, 0)] * (2 * k + 1)
-    for j in range(k + 1):
-        out[2 * j] = (comb(k, j), 0)
-    return tuple(out)
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _times_circle(c, times: int):
-    """c * (1 + eps^2)^times, times >= 1."""
-    return _convolve(_circle_power(times), c)
+@lru_cache(maxsize=256)
+def _factor_power(s: int, t: int) -> tuple:
+    """(1 + i eps)^s (1 - i eps)^t for s, t >= 0, by the binomial theorem;
+    for s == t it is the binomial (1 + eps^2)^s."""
+    left, right = ([(comb(n, j) * re, sign * comb(n, j) * im)
+                    for j, (re, im) in zip(range(n + 1), cycle(_I_POWERS))]
+                   for n, sign in ((s, 1), (t, -1)))
+    return tuple(_convolve(left, right))
 
 
-def _div_circle(c) -> Optional[list]:
-    """c / (1 + eps^2) for c of degree >= 2, or None when the remainder is
-    nonzero."""
-    re = [p[0] for p in c]
-    im = [p[1] for p in c]
-    for k in range(len(c) - 1, 1, -1):
-        re[k - 2] -= re[k]
-        im[k - 2] -= im[k]
-    if re[0] or re[1] or im[0] or im[1]:
-        return None
-    return list(zip(re[2:], im[2:]))
+def _peel(c, sign: int) -> list:
+    """c / (1 + sign i eps) for c with the root eps = sign i, by division
+    from the constant term up: q_k = c_k - sign i q_(k-1)."""
+    out = [c[0]]
+    qr, qi = c[0]
+    for pr, pi in c[1:-1]:
+        qr, qi = pr + sign * qi, pi - sign * qr
+        out.append((qr, qi))
+    return out
 
 
-def _canonical(c, d: int, m: int) -> "EpsScalar":
-    """The EpsScalar (c / d) / (1 + eps^2)^m in canonical form; d > 0."""
+def _canonical(c, d: int, a: int, b: int) -> "EpsScalar":
+    """The EpsScalar (c / d) (1 + i eps)^a (1 - i eps)^b in canonical form;
+    d > 0."""
     c = list(c)
     while c and not (c[-1][0] or c[-1][1]):
         c.pop()
     if not c:
         return ES_ZERO
-    if m < 0:
-        c, m = _times_circle(c, -m), 0
-    while m and len(c) > 2:
-        quot = _div_circle(c)
-        if quot is None:
+    while len(c) > 1:
+        # p(+-i) = (er -+ oi) + i (ei +- or): er, ei alternate over the
+        # even coefficients, or, oi over the odd ones
+        re, im = zip(*c)
+        er = sum(re[0::4]) - sum(re[2::4])
+        ei = sum(im[0::4]) - sum(im[2::4])
+        o_r = sum(re[1::4]) - sum(re[3::4])
+        oi = sum(im[1::4]) - sum(im[3::4])
+        if er == oi and ei == -o_r:
+            c, a = _peel(c, 1), a + 1
+        elif er == -oi and ei == o_r:
+            c, b = _peel(c, -1), b + 1
+        else:
             break
-        c, m = quot, m - 1
-    return _primitive(c, d, m)
+    return _primitive(c, d, a, b)
 
 
-def _primitive(c, d: int, m: int) -> "EpsScalar":
-    """The EpsScalar (c / d) / (1 + eps^2)^m with the content gcd of c and d
-    divided out; c has no trailing zero and, if m > 0, is not divisible by
-    1 + eps^2."""
+def _primitive(c, d: int, a: int, b: int) -> "EpsScalar":
+    """The EpsScalar (c / d) (1 + i eps)^a (1 - i eps)^b with the content
+    gcd divided out; c has no trailing zero and is coprime to both factors."""
     if d != 1:
         g = gcd(d, *chain.from_iterable(c))
         if g != 1:
             c = [(re // g, im // g) for re, im in c]
             d //= g
-    return _new(tuple(c), d, m)
+    return _new(tuple(c), d, a, b)
 
 
 def power(base, n: int, one):
@@ -224,37 +233,49 @@ def power(base, n: int, one):
 
 
 class EpsScalar:
-    """An element p(eps)/(1+eps^2)^m, kept in canonical form.
+    """An element p(eps) (1 + i eps)^a (1 - i eps)^b in canonical form.
 
-    The numerator is stored as ``_c``, a tuple of ``(re, im)`` int pairs
-    (coefficient of eps^k at index k), over the positive common
-    denominator ``_d``; ``den_pow`` is m.  Canonical means: trailing zero
-    pairs stripped; the gcd of every part and ``_d`` is 1; and either
-    ``den_pow == 0`` or the numerator is not divisible by (1+eps^2).  Zero
-    is ``_c == ()``, ``_d == 1``, ``den_pow == 0``.  Equality and hashing
-    act on this raw data, so equal values compare equal regardless of how
-    they were produced.  :attr:`num` gives the numerator as
-    :class:`CRat` coefficients.
+    ``p`` is ``_c``, a tuple of ``(re, im)`` int pairs (coefficient of
+    eps^k at index k), over the positive denominator ``_d``; ``_a`` and
+    ``_b`` are the exponents.  Canonical means: no trailing zero pair, the
+    gcd of every part and ``_d`` is 1, and p(i) != 0 != p(-i).  Zero is
+    ``((), 1, 0, 0)``.  Equality and hashing act on this raw data.
+    ``EpsScalar(coeffs, den_pow)`` takes the closed form
+    ``coeffs / (1 + eps^2)^den_pow``; :attr:`num` and :attr:`den_pow` give
+    it back, derived on demand.
     """
 
-    __slots__ = ("_c", "_d", "den_pow")
+    __slots__ = ("_c", "_d", "_a", "_b")
 
     def __new__(cls, coeffs: Iterable = (), den_pow: int = 0):
         crats = [c if isinstance(c, CRat) else CRat.of(c) for c in coeffs]
         d = lcm(*(part.denominator for c in crats for part in (c.re, c.im)))
         pairs = [(c.re.numerator * (d // c.re.denominator),
                   c.im.numerator * (d // c.im.denominator)) for c in crats]
-        return _canonical(pairs, d, den_pow)
+        return _canonical(pairs, d, -den_pow, -den_pow)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("EpsScalar is immutable")
 
+    def _closed(self) -> Tuple[list, int]:
+        """(q, m) of the closed form (q / _d) / (1 + eps^2)^m."""
+        a, b, c = self._a, self._b, self._c
+        m = max(0, -a, -b)
+        if a + m or b + m:
+            c = _convolve(_factor_power(a + m, b + m), c)
+        return c, m
+
     @property
     def num(self) -> Tuple[CRat, ...]:
-        """Numerator coefficients as exact complex rationals."""
+        """Closed-form numerator coefficients as exact complex rationals."""
         d = self._d
         return tuple(CRat(Fraction(re, d), Fraction(im, d))
-                     for re, im in self._c)
+                     for re, im in self._closed()[0])
+
+    @property
+    def den_pow(self) -> int:
+        """The power of 1 + eps^2 under the closed form's numerator."""
+        return max(0, -self._a, -self._b)
 
     @staticmethod
     def of(value: "EpsScalar | CRat | _RationalInput") -> "EpsScalar":
@@ -264,7 +285,7 @@ class EpsScalar:
             if not value:
                 return ES_ZERO
             # a Fraction is in lowest terms with a positive denominator
-            return _new(((value.numerator, 0),), value.denominator, 0)
+            return _new(((value.numerator, 0),), value.denominator, 0, 0)
         return EpsScalar((value,))
 
     # ring operations ---------------------------------------------------
@@ -272,28 +293,25 @@ class EpsScalar:
     def __add__(self, other) -> "EpsScalar":
         if type(other) is not EpsScalar:
             other = EpsScalar.of(other)
-        a, b = self._c, other._c
-        if not a:
+        x, y = self._c, other._c
+        if not x:
             return other
-        if not b:
+        if not y:
             return self
         d, d2 = self._d, other._d
         if d != d2:
             g = gcd(d, d2)
-            sa, sb = d2 // g, d // g
-            a = [(re * sa, im * sa) for re, im in a]
-            b = [(re * sb, im * sb) for re, im in b]
-            d *= sa
-        m, m2 = self.den_pow, other.den_pow
-        if m < m2:
-            a, m = _times_circle(a, m2 - m), m2
-        elif m2 < m:
-            b = _times_circle(b, m - m2)
-        return _canonical(
-            [(x[0] + y[0], x[1] + y[1])
-             for x, y in zip_longest(a, b, fillvalue=(0, 0))],
-            d, m,
-        )
+            sx, sy = d2 // g, d // g
+            x = [(re * sx, im * sx) for re, im in x]
+            y = [(re * sy, im * sy) for re, im in y]
+            d *= sx
+        a, b = min(self._a, other._a), min(self._b, other._b)
+        if self._a != a or self._b != b:
+            x = _convolve(_factor_power(self._a - a, self._b - b), x)
+        if other._a != a or other._b != b:
+            y = _convolve(_factor_power(other._a - a, other._b - b), y)
+        return _canonical([(p[0] + q[0], p[1] + q[1]) for p, q in
+                           zip_longest(x, y, fillvalue=(0, 0))], d, a, b)
 
     __radd__ = __add__
 
@@ -305,7 +323,7 @@ class EpsScalar:
 
     def __neg__(self) -> "EpsScalar":
         return _new(tuple((-re, -im) for re, im in self._c), self._d,
-                    self.den_pow)
+                    self._a, self._b)
 
     def __mul__(self, other) -> "EpsScalar":
         if type(other) is not EpsScalar:
@@ -313,21 +331,19 @@ class EpsScalar:
         a, b = self._c, other._c
         if not a or not b:
             return ES_ZERO
-        # A nonzero constant times a canonical scalar needs only the content
-        # gcd again (see the module docstring): no convolution, and no
-        # attempt to divide out 1 + eps^2.
-        if len(b) == 1 and not other.den_pow:
+        ea, eb = self._a + other._a, self._b + other._b
+        # a constant p needs only the content gcd again, and no convolution
+        if len(b) == 1:
             (cr, ci), d, scalar = b[0], other._d, self
-        elif len(a) == 1 and not self.den_pow:
+        elif len(a) == 1:
             (cr, ci), d, scalar = a[0], self._d, other
         else:
-            return _canonical(_convolve(a, b), self._d * other._d,
-                              self.den_pow + other.den_pow)
+            return _primitive(_convolve(a, b), self._d * other._d, ea, eb)
         if d == 1 and cr == 1 and not ci:
-            return scalar
+            return _new(scalar._c, scalar._d, ea, eb)
         return _primitive([(re * cr - im * ci, re * ci + im * cr)
                            for re, im in scalar._c],
-                          scalar._d * d, scalar.den_pow)
+                          scalar._d * d, ea, eb)
 
     __rmul__ = __mul__
 
@@ -340,9 +356,10 @@ class EpsScalar:
         return power(self, n, ES_ONE)
 
     def conjugate(self) -> "EpsScalar":
-        """Adjoint action: eps is self-adjoint, coefficients conjugate."""
+        """Adjoint action: eps is self-adjoint, coefficients conjugate, and
+        so the two linear factors trade places."""
         return _new(tuple((re, -im) for re, im in self._c), self._d,
-                    self.den_pow)
+                    self._b, self._a)
 
     def divide_by_eps(self) -> "EpsScalar":
         """Exact division by eps; raises NotDivisible if the constant
@@ -351,24 +368,18 @@ class EpsScalar:
             return self
         if self._c[0] != (0, 0):
             raise NotDivisible("scalar is not divisible by eps")
-        # eps and 1+eps^2 are coprime, so the result is still canonical
-        return _new(self._c[1:], self._d, self.den_pow)
+        # eps is coprime to both linear factors, so p / eps stays canonical
+        return _new(self._c[1:], self._d, self._a, self._b)
 
     def try_inverse(self) -> "EpsScalar | None":
-        """Inverse when the value is a unit c*(1+eps^2)^j, else None."""
-        c, extra = self._c, 0
-        while len(c) > 2:
-            c = _div_circle(c)
-            if c is None:
-                return None
-            extra += 1
-        if len(c) != 1:
+        """Inverse when the value is a unit (p constant), else None."""
+        if len(self._c) != 1:
             return None
-        (re, im), = c
+        (re, im), = self._c
         d = self._d
         # d / (re + i im) = d (re - i im) / (re^2 + im^2)
-        return _canonical([(d * re, -d * im)], re * re + im * im,
-                          extra - self.den_pow)
+        return _primitive([(d * re, -d * im)], re * re + im * im,
+                          -self._a, -self._b)
 
     # queries -----------------------------------------------------------
 
@@ -380,29 +391,28 @@ class EpsScalar:
 
     def at_zero(self) -> CRat:
         """Exact value at eps = 0 (the commutative limit of a coefficient)."""
-        return self.num[0] if self._c else CR_ZERO
+        if not self._c:
+            return CR_ZERO
+        (re, im), d = self._c[0], self._d
+        return CRat(Fraction(re, d), Fraction(im, d))
 
     def eval(self, eps: float) -> complex:
-        """Numeric value at a real eps."""
+        """Numeric value at a real eps, evaluated from the closed form."""
+        c, m = self._closed()
         d = self._d
         acc = 0j
-        for re, im in reversed(self._c):
+        for re, im in reversed(c):
             # int / int is correctly rounded, as float(Fraction(re, d)) is
             acc = acc * eps + complex(re / d, im / d)
-        return acc / (1.0 + eps * eps) ** self.den_pow
+        return acc / (1.0 + eps * eps) ** m
 
     def eval_exact(self, eps: Fraction) -> CRat:
         """Exact value at a rational eps."""
         eps = Fraction(eps)
-        point = CRat(eps, Fraction(0))
         acc = CR_ZERO
         for c in reversed(self.num):
-            acc = acc * point + c
-        den = CRat(1 + eps * eps, Fraction(0))
-        out = acc
-        for _ in range(self.den_pow):
-            out = out / den
-        return out
+            acc = acc * eps + c
+        return acc / CRat.of((1 + eps * eps) ** self.den_pow)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpsScalar):
@@ -411,10 +421,10 @@ class EpsScalar:
             else:
                 return NotImplemented
         return (self._c == other._c and self._d == other._d
-                and self.den_pow == other.den_pow)
+                and self._a == other._a and self._b == other._b)
 
     def __hash__(self) -> int:
-        return hash((self._c, self._d, self.den_pow))
+        return hash((self._c, self._d, self._a, self._b))
 
     def __str__(self) -> str:
         if not self._c:
@@ -441,47 +451,35 @@ class EpsScalar:
 
 _SET_C = EpsScalar._c.__set__
 _SET_D = EpsScalar._d.__set__
-_SET_M = EpsScalar.den_pow.__set__
+_SET_A = EpsScalar._a.__set__
+_SET_B = EpsScalar._b.__set__
 
 
-def _new(c: tuple, d: int, m: int) -> EpsScalar:
+def _new(c: tuple, d: int, a: int, b: int) -> EpsScalar:
     """An EpsScalar from data that is already canonical."""
     out = object.__new__(EpsScalar)
     _SET_C(out, c)
     _SET_D(out, d)
-    _SET_M(out, m)
+    _SET_A(out, a)
+    _SET_B(out, b)
     return out
 
 
-ES_ZERO = _new((), 1, 0)  # the constructor returns it for a zero numerator
+ES_ZERO = _new((), 1, 0, 0)  # the constructor returns it for a zero numerator
 ES_ONE = EpsScalar((CR_ONE,))
 ES_EPS = EpsScalar((CR_ZERO, CR_ONE))
 ES_I = EpsScalar((CR_I,))
 # 1/(1 + eps^2), a generator of the scalar ring in its own right
 ES_CIRCLE_INV = EpsScalar((CR_ONE,), 1)
 
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-
-@lru_cache(maxsize=512)
 def phase(s: int) -> EpsScalar:
     """e^{i s alpha} as an exact scalar, alpha the half-angle of eps.
 
-    e^{i alpha} = (1 + i eps)^2 / (1 + eps^2); negative s conjugates.
-    The numerator (1 +- i eps)^(2|s|) is written out by the binomial
-    theorem; it is canonical as it stands (constant term 1, and 1 - i eps
-    does not divide it).  Results are immutable and memoised.
+    e^{i alpha} = (1 + i eps)^2 / (1 + eps^2) = (1 + i eps) / (1 - i eps),
+    so the phase is the constant 1 with exponents (s, -s).
     """
-    if s == 0:
-        return ES_ONE
-    n = 2 * abs(s)
-    sign = 1 if s > 0 else -1
-    coeffs = []
-    for k in range(n + 1):
-        re, im = _I_POWERS[k % 4]
-        b = comb(n, k)
-        coeffs.append((b * re, sign * b * im))
-    return _new(tuple(coeffs), 1, abs(s))
+    return _new(((1, 0),), 1, s, -s)
 
 
 def sin_alpha() -> EpsScalar:

@@ -116,7 +116,7 @@ class ReprSpec:
                  _wrap_half_open(self.beta_prime, math.pi - period, period))
         nu = complex(self.nu)
         mag = abs(nu)
-        if abs(mag - 1.0) > 1e-9:
+        if not abs(mag - 1.0) <= 1e-9:  # a NaN |nu| fails this test too
             raise InvalidSpec(f"wrap phase must be unimodular, |nu| = {mag!r}")
         set_(self, "nu", nu)
         if self.family == Family.FUZZY_SPHERE and self.n < 2:
@@ -508,7 +508,7 @@ def nc_torus_reason(n: int, k: int, nu: complex) -> str:
         return f"torus reference needs n >= 2, got {n}"
     if math.gcd(n, k) != 1:
         return f"gcd(n, k) must be 1, got n={n}, k={k}"
-    if abs(abs(complex(nu)) - 1.0) > 1e-9:
+    if not abs(abs(complex(nu)) - 1.0) <= 1e-9:  # NaN included
         return "wrap phase must be unimodular"
     return ""
 

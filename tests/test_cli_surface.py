@@ -18,7 +18,7 @@ import pathlib
 import pkgutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spheretorus
@@ -317,8 +317,9 @@ def test_a_record_follows_the_message(fmt, record, monkeypatch):
 # argv fuzzing ----------------------------------------------------------------
 #
 # Sizes stay small (n <= 16, grid <= 64, a sweep's count <= 4, exponents
-# <= 3) so that every call is cheap; --out is left out so nothing is
-# written.
+# <= 3) so that every call is cheap.  --out names one of three paths: a file
+# in a session temp dir, that directory itself, or a path under a directory
+# that does not exist; the last two fail in cli.main's OSError branch.
 
 JUNK = ("", "abc", "--", "1e", "0x10", "1,5", "-")
 FLOATS = st.sampled_from(("0", "0.5", "-0.5", "1", "-1", "1.05", "1.5", "2",
@@ -346,6 +347,9 @@ EXPRS = st.recursive(
     ),
     max_leaves=6,
 )
+OUTS = st.sampled_from(("file", "dir", "missing"))
+_OUT_PATHS = {"file": lambda d: d / "out.txt", "dir": lambda d: d,
+              "missing": lambda d: d / "missing" / "out.txt"}
 SWEEP_R = st.one_of(
     FLOATS,
     st.tuples(FLOATS, FLOATS, st.integers(-1, 4)).map(
@@ -356,18 +360,19 @@ _REP = {"--n": SMALL_INTS, "--k": SMALL_INTS, "--alpha": FLOATS,
         "--beta-prime": FLOATS, "--nu-phase": FLOATS, "--R": FLOATS}
 FLAGS = {
     "topology": {"--R": FLOATS},
-    "slice": {"--R": FLOATS, "--grid": GRIDS},
+    "slice": {"--R": FLOATS, "--grid": GRIDS, "--out": OUTS},
     "solve-min-s2": {"--R": FLOATS, "--n": SMALL_INTS, "--tol": TOLS},
     "enum-s2": {"--R": FLOATS, "--n": SMALL_INTS, "--tol": TOLS,
-                "--grid": GRIDS},
+                "--grid": GRIDS, "--out": OUTS},
     "t2-window": {"--R": FLOATS, "--n": SMALL_INTS, "--k": SMALL_INTS},
     "classify": {"--R": FLOATS, "--eps": FLOATS},
-    "build": _REP,
+    "build": dict(_REP, **{"--out": OUTS}),
     "verify": dict(_REP, **{"--tol": TOLS}),
     "reduce": {"--R": EXACT, "--expr": EXPRS},
     "poisson": {"--R": EXACT, "--f": EXPRS, "--g": EXPRS},
-    "sweep": {"--R": SWEEP_R, "--n": SMALL_INTS, "--grid": GRIDS},
-    "diagram": _REP,
+    "sweep": {"--R": SWEEP_R, "--n": SMALL_INTS, "--grid": GRIDS,
+              "--out": OUTS},
+    "diagram": dict(_REP, **{"--out": OUTS}),
 }
 FORMATS = {
     "slice": ("json", "csv", "text"), "enum-s2": ("json", "csv", "text"),
@@ -392,9 +397,31 @@ def argvs(draw):
     return argv
 
 
+@pytest.fixture(scope="session")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
+def _out_examples(test):
+    """Explicit examples: one argv that exits 0 per command that writes
+    --out, with each path that cannot be opened."""
+    for argv in (["slice", "--R=0.5", "--format", "csv"],
+                 ["enum-s2", "--R=0.5", "--n=5", "--format", "csv"],
+                 ["build", "s2min", "--R=0.5", "--n=5"],
+                 ["sweep", "--R=0.8:2.2:4", "--n=5"],
+                 ["diagram", "s2min", "--R=0.5", "--n=5"]):
+        for kind in ("dir", "missing"):
+            test = example(argv=argv + [f"--out={kind}"])(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(argvs())
-def test_every_argv_ends_in_an_exit_code(argv):
+@given(argv=argvs())
+@_out_examples
+def test_every_argv_ends_in_an_exit_code(argv, out_dir):
+    kind = next((a[6:] for a in argv if a.startswith("--out=")), None)
+    argv = [f"--out={_OUT_PATHS[kind](out_dir)}" if a.startswith("--out=")
+            else a for a in argv]
     code, out, err = _run(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err
@@ -402,6 +429,14 @@ def test_every_argv_ends_in_an_exit_code(argv):
     if code and not text:
         record = json.loads(err.splitlines()[-1])
         assert isinstance(record, dict) and "error" in record, argv
+    bare = [a for a in argv if not a.startswith("--out=")]
+    if kind in ("dir", "missing") and _run(bare)[0] == 0 and \
+            getattr(cli._shared_parser().parse_args(bare), "format",
+                    None) in (None, "csv"):
+        # what succeeds without --out fails to open the path: exit 1, one
+        # record (json and text output go to stdout whatever --out says)
+        assert (code, out, len(err.splitlines())) == (1, "", 1), argv
+        assert record["error"].startswith("i/o error: "), argv
 
 
 # document fuzzing ------------------------------------------------------------

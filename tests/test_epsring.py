@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, cycle
+from math import comb, gcd
 from operator import add
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheretorus.epsring import (
+    CR_HALF,
     CR_I,
     CR_ONE,
     CR_ZERO,
@@ -234,6 +237,11 @@ def test_try_inverse_on_units():
     inv = unit.try_inverse()
     assert inv is not None
     assert unit * inv == ES_ONE
+    # each linear factor of 1 + eps^2 is a unit too, and so is every phase
+    linear = ES_ONE + ES_I * ES_EPS
+    assert linear.try_inverse() == (ES_ONE - ES_I * ES_EPS) * ES_CIRCLE_INV
+    assert linear ** -2 * linear ** 2 == ES_ONE
+    assert phase(3).try_inverse() == phase(-3)
 
 
 def test_try_inverse_on_non_units():
@@ -278,10 +286,10 @@ def test_power_squares_only_below_the_top_bit(monkeypatch):
 
 # fast paths against the general route -----------------------------------------
 #
-# Products with a constant factor skip the convolution and the circle division,
-# EpsScalar.of builds rationals without CRat, and phase is memoised.  Canonical
-# form is unique, so each must give the raw data of the general route exactly.
-# Sums have one route, EpsScalar.__add__, which the ring axioms above check.
+# Products with a constant p skip the convolution, and EpsScalar.of builds
+# rationals without CRat.  Canonical form is unique, so each must give the raw
+# data of the general route exactly.  Sums have one route, EpsScalar.__add__,
+# which the ring axioms above and the closed-form reference below check.
 
 _KINDS = ("zero", "one", "const", "circle", "poly")
 
@@ -301,15 +309,15 @@ def _rand_scalar(rng, kind):
         pair = (0, 0)
         while pair == (0, 0):
             pair = (part(), part())
-        return _canonical([pair], d, 0 if kind == "const" else
-                          rng.randint(1, 3))
+        m = 0 if kind == "const" else rng.randint(1, 3)
+        return _canonical([pair], d, -m, -m)
     coeffs = [(part(), part()) for _ in range(rng.randint(2, 6))]
     coeffs[-1] = (coeffs[-1][0] or 1, coeffs[-1][1])
-    return _canonical(coeffs, d, rng.randint(0, 3))
+    return _canonical(coeffs, d, rng.randint(-3, 2), rng.randint(-3, 2))
 
 
 def _data(a):
-    return a._c, a._d, a.den_pow
+    return a._c, a._d, a._a, a._b
 
 
 @pytest.mark.parametrize("left", _KINDS)
@@ -319,7 +327,7 @@ def test_product_fast_paths_match_convolution(left, right):
     for _ in range(60):
         a, b = _rand_scalar(rng, left), _rand_scalar(rng, right)
         general = _canonical(_convolve(a._c, b._c), a._d * b._d,
-                             a.den_pow + b.den_pow)
+                             a._a + b._a, a._b + b._b)
         assert _data(a * b) == _data(general), (a, b)
         assert _data(b * a) == _data(general), (a, b)
 
@@ -357,13 +365,15 @@ def test_addition_lifts_mixed_den_pow():
 
 
 def test_phase_matches_uncached_binomial():
+    # the closed form of e^{i s alpha} is (1 +- i eps)^(2|s|) / (1 + eps^2)^|s|
     e_i_alpha = EpsScalar((CR_ONE, CR_I)) ** 2 * ES_CIRCLE_INV
     for s in range(-40, 41):
         want = e_i_alpha ** s if s >= 0 else e_i_alpha.conjugate() ** -s
         assert _data(phase(s)) == _data(want), s
-        assert _data(phase.__wrapped__(s)) == _data(want), s
-        assert phase(s) is phase(s)
-    assert phase.cache_info().maxsize is not None
+        binomial = _ref_linear(2 * abs(s), 1 if s >= 0 else -1)
+        assert phase(s).num == tuple(CRat(Fraction(re), Fraction(im))
+                                     for re, im in binomial), s
+        assert phase(s).den_pow == abs(s), s
 
 
 def test_crat_defers_to_the_other_operand():
@@ -380,3 +390,227 @@ def test_crat_defers_to_the_other_operand():
                lambda: c * object(), lambda: c * 0.5):
         with pytest.raises(TypeError):
             op()
+
+
+# the closed-form ring as a reference ------------------------------------------
+#
+# The closed form (q, d, m) is a Gaussian-integer numerator q over d > 0,
+# divided by (1 + eps^2)^m, canonical when q has no trailing zero,
+# gcd(d, parts of q) = 1, and m = 0 or 1 + eps^2 does not divide q.  It is
+# what num, den_pow, str and eval show, so the factored ring must give exactly
+# this data, whatever chain of operations made the value.  The reference
+# computes on (q, d, m) alone.
+
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _ref_mul_poly(a, b):
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        for k, (br, bi) in enumerate(b, i):
+            r, m = out[k]
+            out[k] = (r + ar * br - ai * bi, m + ar * bi + ai * br)
+    return out
+
+
+def _ref_circle(k):
+    return [(comb(k, j // 2), 0) if j % 2 == 0 else (0, 0)
+            for j in range(2 * k + 1)]
+
+
+def _ref_div_circle(q):
+    """q / (1 + eps^2) for q of degree >= 2, or None if it does not divide."""
+    re, im = [p[0] for p in q], [p[1] for p in q]
+    for k in range(len(q) - 1, 1, -1):
+        re[k - 2] -= re[k]
+        im[k - 2] -= im[k]
+    if re[0] or re[1] or im[0] or im[1]:
+        return None
+    return list(zip(re[2:], im[2:]))
+
+
+def _ref(q, d, m):
+    """(q / d) / (1 + eps^2)^m in the closed canonical form."""
+    q = list(q)
+    while q and q[-1] == (0, 0):
+        q.pop()
+    if not q:
+        return (), 1, 0
+    if m < 0:
+        q, m = _ref_mul_poly(_ref_circle(-m), q), 0
+    while m and len(q) > 2 and _ref_div_circle(q) is not None:
+        q, m = _ref_div_circle(q), m - 1
+    g = gcd(d, *chain.from_iterable(q))
+    return tuple((r // g, i // g) for r, i in q), d // g, m
+
+
+def _ref_add(x, y):
+    (p, d, m), (q, e, n) = x, y
+    if m < n:
+        p = _ref_mul_poly(_ref_circle(n - m), p) if p else p
+    elif n < m:
+        q = _ref_mul_poly(_ref_circle(m - n), q) if q else q
+    size = max(len(p), len(q))
+    p = [(r * e, i * e) for r, i in p] + [(0, 0)] * (size - len(p))
+    q = [(r * d, i * d) for r, i in q] + [(0, 0)] * (size - len(q))
+    return _ref([(a + c, b + f) for (a, b), (c, f) in zip(p, q)], d * e,
+                max(m, n))
+
+
+def _ref_mul(x, y):
+    if not x[0] or not y[0]:
+        return (), 1, 0
+    return _ref(_ref_mul_poly(x[0], y[0]), x[1] * y[1], x[2] + y[2])
+
+
+def _ref_linear(n, sign):
+    """(1 + sign i eps)^n, n >= 0."""
+    return [(comb(n, k) * re, sign * comb(n, k) * im)
+            for k, (re, im) in zip(range(n + 1), cycle(_I_POWERS))]
+
+
+def _ref_inverse(x):
+    """The inverse of a unit c (1 + eps^2)^j (1 +- i eps)^n, else None."""
+    q, d, m = x
+    extra = 0
+    while q and len(q) > 2 and _ref_div_circle(q) is not None:
+        q, extra = _ref_div_circle(q), extra + 1
+    if not q:
+        return None
+    n = len(q) - 1
+    for sign in (1, -1):
+        if _ref_mul_poly([q[0]], _ref_linear(n, sign)) == list(q):
+            break
+    else:
+        return None
+    (re, im), rest = q[0], _ref_linear(n, -sign)
+    # 1 / (1 + s i eps)^n = (1 - s i eps)^n / (1 + eps^2)^n
+    return _ref(_ref_mul_poly([(d * re, -d * im)], rest), re * re + im * im,
+                n + extra - m)
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        x = _ref_inverse(x)
+        if x is None:
+            return None
+    out = ((1, 0),), 1, 0
+    for _ in range(abs(n)):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _ref_str(x):
+    q, d, m = x
+    if not q:
+        return "0"
+    parts = []
+    for k, (re, im) in enumerate(q):
+        c = CRat(Fraction(re, d), Fraction(im, d))
+        if c.is_zero():
+            continue
+        parts.append(str(c) if k == 0 else
+                     f"{c}*eps" if k == 1 else f"{c}*eps^{k}")
+    body = " + ".join(parts)
+    if m == 0:
+        return body
+    if len(parts) > 1:
+        body = f"({body})"
+    return f"{body}*(1+eps^2)^-{m}"
+
+
+def _ref_eval(x, eps):
+    q, d, m = x
+    acc = 0j
+    for re, im in reversed(q):
+        acc = acc * eps + complex(re / d, im / d)
+    return acc / (1.0 + eps * eps) ** m
+
+
+def _at_root(c, sign):
+    """p(sign * i) as a Gaussian integer, exactly."""
+    re = im = 0
+    for (cr, ci), (pr, pi) in zip(c, cycle(_I_POWERS)):
+        pi *= sign
+        re, im = re + cr * pr - ci * pi, im + cr * pi + ci * pr
+    return re, im
+
+
+def _assert_matches(value, ref):
+    q, d, m = ref
+    c = value._c
+    assert value._d == d > 0
+    if c:
+        assert c[-1] != (0, 0)
+        assert gcd(value._d, *chain.from_iterable(c)) == 1
+        assert _at_root(c, 1) != (0, 0) and _at_root(c, -1) != (0, 0)
+    else:
+        assert (value._d, value._a, value._b) == (1, 0, 0)
+    assert value.num == tuple(CRat(Fraction(r, d), Fraction(i, d))
+                              for r, i in q)
+    assert value.den_pow == m
+    assert str(value) == _ref_str(ref)
+    got, want = value.eval(0.37), _ref_eval(ref, 0.37)
+    assert (got.real.hex(), got.imag.hex()) == \
+        (want.real.hex(), want.imag.hex())
+
+
+def _operands(rng):
+    """(scalar, reference) pairs: phases, 1/(1 + eps^2), eps, (1 -+ i eps)/2
+    and Gaussian-rational constants, each reference built on its own."""
+    out = [(ES_CIRCLE_INV, (((1, 0),), 1, 1)),
+           (ES_EPS, (((0, 0), (1, 0)), 1, 0))]
+    for s in range(-4, 5):
+        q = _ref_linear(2 * abs(s), 1 if s >= 0 else -1)
+        out.append((phase(s), _ref(q, 1, abs(s))))
+    for sign in (1, -1):
+        out.append((EpsScalar((CR_HALF, CRat(Fraction(0),
+                                             Fraction(-sign, 2)))),
+                    _ref([(1, 0), (0, -sign)], 2, 0)))
+    for _ in range(6):
+        re, im, d = rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 6)
+        out.append((EpsScalar((CRat(Fraction(re, d), Fraction(im, d)),)),
+                    _ref([(re, im)], d, 0)))
+    return out
+
+
+def test_factored_ring_matches_the_closed_form_reference():
+    rng = random.Random(22)
+    pool = _operands(rng)
+    for _ in range(150):
+        x, rx = rng.choice(pool)
+        for _ in range(20):
+            y, ry = rng.choice(pool)
+            op = rng.choice(("+", "-", "*", "*", "**", "conj", "inv", "eps"))
+            if op == "+":
+                x, rx = x + y, _ref_add(rx, ry)
+            elif op == "-":
+                x, rx = x - y, _ref_add(rx, _ref_mul(ry, (((-1, 0),), 1, 0)))
+            elif op == "*":
+                x, rx = x * y, _ref_mul(rx, ry)
+            elif op == "**":
+                n = rng.randint(-2, 3)
+                want = _ref_pow(rx, n)
+                if want is None:
+                    with pytest.raises(NotDivisible):
+                        x ** n
+                    continue
+                x, rx = x ** n, want
+            elif op == "conj":
+                x, rx = x.conjugate(), (tuple((r, -i) for r, i in rx[0]),
+                                        rx[1], rx[2])
+            elif op == "inv":
+                want = _ref_inverse(rx)
+                assert (x.try_inverse() is None) == (want is None)
+                if want is None:
+                    continue
+                x, rx = x.try_inverse(), want
+            elif rx[0] and rx[0][0] != (0, 0):
+                with pytest.raises(NotDivisible):
+                    x.divide_by_eps()
+                continue
+            else:
+                x, rx = x.divide_by_eps(), (rx[0][1:], rx[1], rx[2])
+            _assert_matches(x, rx)
+            if len(rx[0]) > 16:
+                break

@@ -40,6 +40,7 @@ from spheretorus.reps import (
     check_irreducible,
     epsilon_of_alpha,
     fuzzy_sphere_residuals,
+    nc_torus_reason,
     nc_torus_residuals,
     rep_evaluate,
     split_xyzw,
@@ -587,6 +588,19 @@ def test_spec_refuses_non_finite_parameters(family, R, n, alpha, beta_prime,
     message = rf"^{name} must be a finite number, got {value}$"
     with pytest.raises(InvalidSpec, match=message):
         ReprSpec(family, R, n, alpha, beta_prime, k=k)
+
+
+@pytest.mark.parametrize("nu", [complex(math.nan, 0.0),
+                                complex(0.0, math.nan),
+                                complex(math.inf, math.nan)])
+def test_wrap_phase_refuses_non_finite_values(nu):
+    # |nu| is nan or inf, and a nan passes a test written as |nu| - 1 > tol
+    with pytest.raises(InvalidSpec, match=r"^wrap phase must be unimodular"):
+        ReprSpec(Family.T2, 3.0, 5, 0.0, 3.0, k=1, nu=nu)
+    assert nc_torus_reason(5, 2, nu) == "wrap phase must be unimodular"
+    with pytest.raises(InvalidSpec, match=r"^wrap phase must be unimodular$"):
+        build_nc_torus(5, 2, nu=nu)
+    assert nc_torus_reason(5, 2, cmath.exp(0.3j)) == ""
 
 
 def test_family_entry_points_are_names_for_build():
