@@ -9,12 +9,13 @@ table, ``classify_region``, alone states the boundary R_eps, for every caller.
 
 The scalar chain core (the ``Family`` enum, the coupling ``c_squared`` and
 the angle/deformation conversions) lives here too, and ``reps`` re-exports
-it.  Nothing in this module needs arrays except the vectorised scan of
-``enumerate_s2_nonminimal``, which imports numpy when it runs.
+it.  Only the scan of ``enumerate_s2_nonminimal`` needs arrays; ``_scan``
+memoises its R-free ones per (n, grid) and imports numpy when first run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -223,6 +224,28 @@ def _candidate(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _scan(n: int, grid: int) -> Optional[tuple]:
+    """Branch A's read-only alpha grid, its k, same-k pair mask, cos(pi*k -
+    n*alpha/2) and cos(alpha/2) at (n, grid), or None for an empty range; a
+    key holds 33*(grid + 1) bytes, 135 KiB at 4096, 2.2 MiB at MAX_GRID."""
+    import numpy as np
+
+    lo, hi = TWO_PI / n + 1e-12, math.pi - 1e-12
+    if lo >= hi:
+        return None
+    pts = lo + (hi - lo) * np.arange(grid + 1) / grid
+    x = n * pts / TWO_PI
+    ks = np.floor(x - 1.5) + 1.0
+    # k is defined where it lies in the open interval (x - 3/2, x - 1/2)
+    defined = (x - 1.5 < ks) & (ks < x - 0.5)
+    arrays = (pts, ks, defined[:-1] & defined[1:] & (ks[:-1] == ks[1:]),
+              np.cos(np.pi * ks - 0.5 * n * pts), np.cos(0.5 * pts))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def enumerate_s2_nonminimal(
     R: float, n: int, grid: int = 4096, tol: float = 1e-12
 ) -> List[SolutionRecord]:
@@ -230,56 +253,48 @@ def enumerate_s2_nonminimal(
 
     Branch A scans alpha in (2*pi/n, pi) for roots of
     cos(pi*k - n*alpha/2) + R*cos(alpha/2) with k the unique integer putting
-    beta' = pi*k - n*alpha/2 inside (-3*pi/2, -pi/2).  One numpy pass over
-    the grid only marks candidate brackets: a sign change, or |h| within
-    float dust of zero at either end, so that np.cos differing from math.cos
-    in the last ulp can add a bracket but never drop one.  Each candidate is
-    re-evaluated with math.cos and its root comes from the scalar bisection,
-    so every root is what a scalar scan of the whole grid finds.  Branch B
-    takes the rational angles alpha = 2*pi*k'/n, gcd(k', n) = 1, and solves
-    cos(beta') = -R*cos(pi*k'/n) for both roots in (-2*pi, 0].  Candidates
-    failing ``chain_reason`` are kept with its reason.
+    beta' = pi*k - n*alpha/2 inside (-3*pi/2, -pi/2).  ``_scan`` memoises
+    the R-free grid arrays per (n, grid); per call, one multiply-add only
+    marks candidate brackets: a sign change, or |h| within float dust of
+    zero at either end, so that np.cos differing from math.cos in the last
+    ulp can add a bracket but never drop one.  Each candidate is
+    re-evaluated with math.cos and its root comes from ``_bisect``, the one
+    bisection, so every root is what a scalar scan of the grid finds.
+    Branch B takes the rational angles alpha = 2*pi*k'/n, gcd(k', n) = 1,
+    and solves cos(beta') = -R*cos(pi*k'/n) for both roots in (-2*pi, 0].
+    Candidates failing ``chain_reason`` are kept with its reason.
     """
-    import numpy as np
-
     _check_domain(R, grid, n)
     records: List[SolutionRecord] = []
-
-    def h(alpha: float, k: int) -> float:
-        return math.cos(math.pi * k - 0.5 * n * alpha) + R * math.cos(0.5 * alpha)
-
-    lo = TWO_PI / n + 1e-12
-    hi = math.pi - 1e-12
-    if lo < hi:
-        pts = lo + (hi - lo) * np.arange(grid + 1) / grid
-        x = n * pts / TWO_PI
-        ks = np.floor(x - 1.5) + 1.0
-        # k is defined where it lies in the open interval (x - 3/2, x - 1/2)
-        defined = (x - 1.5 < ks) & (ks < x - 0.5)
-        hs = np.cos(np.pi * ks - 0.5 * n * pts) + R * np.cos(0.5 * pts)
+    if (scan := _scan(n, grid)) is not None:
+        pts, ks, same_k, phase_cos, half_cos = scan
+        hs = phase_cos + R * half_cos
         # a sign test, not h1*h2, which overflows (and warns) at huge R.
         # |h| near zero marks the exact zeros the scalar code takes as roots
         # and the signs np.cos may flip against math.cos in the last ulp;
         # the bound scales with R, as the rounding of R*cos does
-        near = np.abs(hs) < 1e-9 * (1.0 + abs(R))
-        brackets = defined[:-1] & defined[1:] & (ks[:-1] == ks[1:]) & (
+        near = abs(hs) < 1e-9 * (1.0 + abs(R))
+        brackets = same_k & (
             ((hs[:-1] < 0.0) != (hs[1:] < 0.0)) | near[:-1] | near[1:])
-        for i in np.flatnonzero(brackets).tolist():
+        half_n = 0.5 * n
+        for i in brackets.nonzero()[0].tolist():
             k = int(ks[i])
+            pk = math.pi * k
+
+            def h(alpha: float) -> float:
+                return math.cos(pk - half_n * alpha) + R * math.cos(0.5 * alpha)
             a1, a2 = float(pts[i]), float(pts[i + 1])
-            h1, h2 = h(a1, k), h(a2, k)
+            h1, h2 = h(a1), h(a2)
             if h1 == 0.0:
                 alpha = a1
             elif h1 * h2 < 0.0:
-                alpha = _bisect(lambda a: h(a, k), a1, a2, tol, False)
+                alpha = _bisect(h, a1, a2, tol, False)
             else:
                 continue
             if records and abs(records[-1].alpha - alpha) < 1e-9:
                 continue  # a root at the end two brackets share
-            beta_prime = math.pi * k - 0.5 * n * alpha
-            records.append(
-                _candidate(R, n, "A", k, alpha, beta_prime, abs(h(alpha, k)))
-            )
+            records.append(_candidate(R, n, "A", k, alpha, pk - half_n * alpha,
+                                      abs(h(alpha))))
 
     for kp in range(1, (n - 1) // 2 + 1):
         if math.gcd(kp, n) != 1:

@@ -88,17 +88,17 @@ def _fail(args, exc: SpheretorusError) -> int:
 
 def _print_doc(args, doc: dict, text_lines: List[str], compact: bool = False) -> None:
     if args.format == "text":
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
+        text = "".join(line + "\n" for line in text_lines)
     elif compact:
-        sys.stdout.write(render_json_compact(doc) + "\n")
+        text = render_json_compact(doc) + "\n"
     else:
-        sys.stdout.write(render_json(doc))
+        text = render_json(doc)
+    _deliver(args, text)
 
 
 def _deliver(args, text: str) -> None:
-    """Send emitter output to --out (with a receipt on stdout) or stdout."""
-    if args.out:
+    """Send output to --out (with a receipt on stdout) or stdout."""
+    if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         sys.stdout.write(render_json_compact({"out": args.out}) + "\n")
@@ -255,7 +255,8 @@ def _cmd_enum_s2(args) -> int:
         "count_existing": sum(1 for r in records if r.exists),
         "records": [_record_doc(r) for r in records],
     }
-    _print_doc(args, doc, [_record_line(r, sys.stdout) for r in records])
+    stream = None if args.out else sys.stdout  # no colour in a file
+    _print_doc(args, doc, [_record_line(r, stream) for r in records])
     return 0
 
 

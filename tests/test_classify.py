@@ -11,6 +11,7 @@ from spheretorus.classify import (
     SolutionRecord,
     SweepRow,
     _candidate,
+    _scan,
     classify_region,
     enumerate_s2_nonminimal,
     solve_minimal_s2,
@@ -198,13 +199,16 @@ def _enumerate_scalar(R, n, grid=4096, tol=1e-12):
 def test_enumeration_matches_scalar_oracle():
     rng = random.Random(9)
     found = 0
-    # 100 and 1000 are not powers of two: i / grid rounds there
-    for grid in (1, 2, 16, 64, 100, 1000, 4096):
-        for _ in range(40 if grid < 1000 else 25):
-            R, n = rng.uniform(-1.5, 3.0), rng.randint(2, 200)
-            recs = enumerate_s2_nonminimal(R, n, grid=grid)
-            assert recs == _enumerate_scalar(R, n, grid=grid), (R, n, grid)
-            found += sum(r.branch == "A" for r in recs)
+    # 100 and 1000 are not powers of two: i / grid rounds there.  tol = 0
+    # (the CLI's --tol 0) bisects every root down to adjacent floats
+    for tol in (1e-12, 0.0):
+        for grid in (1, 2, 16, 64, 100, 1000, 4096):
+            for _ in range(40 if grid < 1000 and tol else 25):
+                R, n = rng.uniform(-1.5, 3.0), rng.randint(2, 200)
+                recs = enumerate_s2_nonminimal(R, n, grid=grid, tol=tol)
+                assert recs == _enumerate_scalar(R, n, grid=grid, tol=tol), \
+                    (R, n, grid, tol)
+                found += sum(r.branch == "A" for r in recs)
     assert found > 100  # the draws do reach branch A
 
 
@@ -230,6 +234,48 @@ def test_enumeration_root_on_a_grid_point(R, n, grid, i):
     rec = next(r for r in recs if r.alpha == a1)
     assert (rec.branch, rec.k, rec.residual) == ("A", 0, 0.0)
     assert isinstance(rec, SolutionRecord) and type(rec.alpha) is float
+
+
+def test_enumeration_does_not_depend_on_the_scan_memo():
+    # twelve (n, grid) keys, more than the memo holds, so that warm passes
+    # evict; n = 2 has an empty scan range
+    keys = [(n, grid) for n in (2, 5, 11, 40) for grid in (16, 100, 512)]
+    radii = (-0.9, 0.5, 1.5, 2.2)
+    cold = {}
+    for key in keys:
+        for R in radii:
+            _scan.cache_clear()
+            cold[key, R] = enumerate_s2_nonminimal(R, key[0], grid=key[1])
+    _scan.cache_clear()
+    for _ in range(2):
+        for key in keys:
+            for R in radii:
+                assert enumerate_s2_nonminimal(R, key[0], grid=key[1]) == \
+                    cold[key, R], (key, R)
+    info = _scan.cache_info()
+    assert info.hits > 0 and info.misses == 2 * len(keys) > info.maxsize
+    assert info.currsize <= 8
+
+
+def test_scan_arrays_are_read_only():
+    arrays = _scan(11, 64)
+    assert len(arrays) == 5
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    assert _scan(2, 64) is None  # 2*pi/n is already pi
+
+
+def test_sweep_shares_the_scan_without_changing_rows():
+    n, radii = 11, [0.5 + 0.35 * i for i in range(6)]
+    rows = []
+    for R in radii:
+        _scan.cache_clear()
+        rows += sweep_regions(n, [R], grid=1000)
+    _scan.cache_clear()
+    assert sweep_regions(n, radii, grid=1000) == rows
+    assert _scan.cache_info().misses == 1
+    assert any(r.family == "s2nonmin" and r.exists for r in rows)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -403,13 +403,16 @@ def out_dir(tmp_path_factory):
 
 
 def _out_examples(test):
-    """Explicit examples: one argv that exits 0 per command that writes
-    --out, with each path that cannot be opened."""
-    for argv in (["slice", "--R=0.5", "--format", "csv"],
-                 ["enum-s2", "--R=0.5", "--n=5", "--format", "csv"],
-                 ["build", "s2min", "--R=0.5", "--n=5"],
-                 ["sweep", "--R=0.8:2.2:4", "--n=5"],
-                 ["diagram", "s2min", "--R=0.5", "--n=5"]):
+    """Explicit examples: one argv that exits 0 per command and format
+    that writes --out, with each path that cannot be opened."""
+    for argv in ([["slice", "--R=0.5", "--format", fmt]
+                  for fmt in FORMATS["slice"]]
+                 + [["enum-s2", "--R=0.5", "--n=5", "--format", fmt]
+                    for fmt in FORMATS["enum-s2"]]
+                 + [["sweep", "--R=0.8:2.2:4", "--n=5", "--format", fmt]
+                    for fmt in FORMATS["sweep"]]
+                 + [["build", "s2min", "--R=0.5", "--n=5"],
+                    ["diagram", "s2min", "--R=0.5", "--n=5"]]):
         for kind in ("dir", "missing"):
             test = example(argv=argv + [f"--out={kind}"])(test)
     return test
@@ -430,13 +433,12 @@ def test_every_argv_ends_in_an_exit_code(argv, out_dir):
         record = json.loads(err.splitlines()[-1])
         assert isinstance(record, dict) and "error" in record, argv
     bare = [a for a in argv if not a.startswith("--out=")]
-    if kind in ("dir", "missing") and _run(bare)[0] == 0 and \
-            getattr(cli._shared_parser().parse_args(bare), "format",
-                    None) in (None, "csv"):
-        # what succeeds without --out fails to open the path: exit 1, one
-        # record (json and text output go to stdout whatever --out says)
+    if kind in ("dir", "missing") and _run(bare)[0] == 0:
+        # what succeeds without --out fails to open the path, in every
+        # format: exit 1, nothing on stdout, one record
         assert (code, out, len(err.splitlines())) == (1, "", 1), argv
-        assert record["error"].startswith("i/o error: "), argv
+        message = err.removeprefix("error: ") if text else record["error"]
+        assert message.startswith("i/o error: "), argv
 
 
 # document fuzzing ------------------------------------------------------------

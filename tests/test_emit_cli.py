@@ -743,6 +743,26 @@ def test_cli_sweep_json_rows_are_the_fields_in_order(capsys):
     assert list(doc["rows"][0]) == list(SWEEP_HEADER)
 
 
+@pytest.mark.parametrize("argv", [
+    ["slice", "--R", "0.5", "--grid", "16", "--format", fmt]
+    for fmt in ("json", "csv", "text")] + [
+    ["enum-s2", "--R", "1.5", "--n", "11", "--format", fmt]
+    for fmt in ("json", "csv", "text")] + [
+    ["sweep", "--n", "5", "--R=0.8:2.2:4", "--grid", "512", "--format", fmt]
+    for fmt in ("json", "csv")])
+def test_cli_out_writes_what_stdout_shows(argv, tmp_path, capsys):
+    # every format of every command with --out writes the bytes the same
+    # argv prints without it, and prints only the receipt
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    out = capsys.readouterr()
+    assert path.read_bytes() == printed.encode()
+    assert (out.out, out.err) == (render_json_compact({"out": str(path)})
+                                  + "\n", "")
+
+
 def test_cli_diagram_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     argv = ["diagram", "t2", "--R", "3", "--n", "3", "--k", "1"]
