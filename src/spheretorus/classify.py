@@ -2,10 +2,12 @@
 
 A sphere-type chain of length n has |C|^2 zero at both ends and positive in
 between (``chain_reason``); a torus-type cycle has n*alpha a full number of
-turns and |C|^2 positive at every point (``cycle_reason``).  The enumerator,
-``t2_beta_window`` and the ``reps`` builders all apply these two tests.  The
-region of the (R, eps) plane decides which families exist at all; its
-table, ``classify_region``, alone states the boundary R_eps, for every caller.
+turns and |C|^2 positive at every point (``cycle_reason``).  The region of
+the (R, eps) plane decides which families exist at all; its table,
+``classify_region``, alone states the boundary R_eps, for every caller, and
+``minimal_reason`` joins it to the chain test as the minimal-chain rule.
+The solvers, ``t2_beta_window`` and the ``reps`` builders all decide with
+these rules, so no reporter lists what a builder refuses.
 
 The scalar chain core (the ``Family`` enum, the coupling ``c_squared`` and
 the angle/deformation conversions) lives here too, and ``reps`` re-exports
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, List, Optional
 
@@ -66,17 +68,16 @@ class SolutionRecord:
     k: Optional[int]
     alpha: Optional[float]
     beta_prime: Optional[float]
+    beta: Optional[float] = field(init=False)  # beta' + alpha/2, or None
     exists: bool
     reject_reason: str = ""
     residual: float = 0.0
     branch: str = ""
 
-    @property
-    def beta(self) -> Optional[float]:
-        """beta' + alpha/2, or None when either is missing."""
-        if self.alpha is None or self.beta_prime is None:
-            return None
-        return self.beta_prime + 0.5 * self.alpha
+    def __post_init__(self) -> None:
+        beta = (None if self.alpha is None or self.beta_prime is None
+                else self.beta_prime + 0.5 * self.alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,9 @@ def _bisect(f, lo: float, hi: float, tol: float, zero_moves_hi: bool) -> float:
 def solve_minimal_s2(R: float, n: int, tol: float = 1e-12) -> SolutionRecord:
     """The unique minimal sphere chain angle, by bisection.
 
-    A root exists iff -1 < R < sec(pi/n), and its chain iff R < R_eps there
-    (``minimal_reason``); beta' = -n*alpha/2 spans the arc symmetrically.
+    A root exists iff -1 < R < sec(pi/n); beta' = -n*alpha/2 spans the arc
+    symmetrically, and the chain exists iff ``minimal_reason``, the rule
+    ``reps.build`` applies, accepts it at the root.
     """
     _check_domain(R, n=n)
     reason = ("no root: R outside (-1, sec(pi/n)) = "
@@ -172,7 +174,7 @@ def solve_minimal_s2(R: float, n: int, tol: float = 1e-12) -> SolutionRecord:
     lo, hi = 1e-13, (TWO_PI / n) * (1.0 - 1e-13)
     if _rhat(lo, n) - R < 0.0 < _rhat(hi, n) - R:
         alpha = _bisect(lambda a: _rhat(a, n) - R, lo, hi, tol, True)
-        reason = minimal_reason(R, alpha)
+        reason = minimal_reason(R, n, alpha, -0.5 * n * alpha)
     if reason:
         return SolutionRecord(Family.S2MIN, R, n, None, None, None, False,
                               reason)
@@ -318,26 +320,28 @@ def enumerate_s2_nonminimal(
 def t2_beta_window(R: float, n: int, k: int) -> BetaWindow:
     """Admissible beta' interval for the finite torus cycle at (R, n, k).
 
-    Empty for R <= cos(pi/n)*sec(pi*k/n); restricted by the forbidden
-    sector (cos(delta/2) = R*cos(pi*k/n)) up to R = sec(pi*k/n); the full
-    (pi - 2*pi/n, pi] beyond.  Ties go to the closed side of each range.
+    The full (pi - 2*pi/n, pi] for R > sec(pi*k/n); below it the interval
+    left by the forbidden sector (cos(delta/2) = R*cos(pi*k/n)), which is
+    'restricted' only if it is not empty and ``cycle_reason``, the rule
+    ``reps.build`` applies, accepts its midpoint, the beta' the CLI builds.
+    So the rule, not a threshold of its own, decides the onset.
     """
     _check_domain(R)
     reason = cycle_reason(R, n, k)
     if reason:
         raise DomainError(reason)
     ck = math.cos(math.pi * k / n)
-    if R <= math.cos(math.pi / n) / ck:
-        return BetaWindow("none", None, None, None)
-    if R <= 1.0 / ck:
-        delta = 2.0 * math.acos(min(R * ck, 1.0))
-        return BetaWindow(
-            "restricted",
-            math.pi - TWO_PI / n + 0.5 * delta,
-            math.pi - 0.5 * delta,
-            delta,
-        )
-    return BetaWindow("full", math.pi - TWO_PI / n, math.pi, 0.0)
+    # the rule at beta' = pi, bit for bit: 0.5*(TWO_PI*k/n) is math.pi*k/n
+    # in binary floating point and cos(pi) is -1.0, so c_squared(pi, R,
+    # alpha) <= 0 exactly when R <= 1.0/ck; the split spares n cosines
+    if R > 1.0 / ck:
+        return BetaWindow("full", math.pi - TWO_PI / n, math.pi, 0.0)
+    # R*ck < -1 below the onset
+    delta = 2.0 * math.acos(max(-1.0, min(R * ck, 1.0)))
+    lo, hi = math.pi - TWO_PI / n + 0.5 * delta, math.pi - 0.5 * delta
+    if lo < hi and not cycle_reason(R, n, k, 0.5 * (lo + hi)):
+        return BetaWindow("restricted", lo, hi, delta)
+    return BetaWindow("none", None, None, None)
 
 
 _REGION_FLAGS = {
@@ -387,8 +391,13 @@ def classify_region(R: float, eps: float) -> RegionInfo:
     return RegionInfo(label, R, eps, r_eps, *flags)
 
 
-def minimal_reason(R: float, alpha: float) -> str:
-    """"" if the region table lists a minimal chain at (R, tan(alpha/2))."""
+def minimal_reason(R: float, n: int, alpha: float, beta_prime: float) -> str:
+    """The one minimal-chain rule: "" if ``chain_reason`` accepts the chain
+    and the region table lists a minimal chain at (R, tan(alpha/2)); else
+    why not.  The solver and ``reps.spec_reason`` both ask it."""
+    reason = chain_reason(R, n, alpha, beta_prime)
+    if reason:
+        return reason
     info = classify_region(R, math.tan(0.5 * alpha))
     return "" if info.minimal_s2 else (
         f"no minimal chain in region {info.label.value}: R = {R!r}, "

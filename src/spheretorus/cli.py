@@ -22,6 +22,7 @@ imports numpy itself.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -119,20 +120,9 @@ def _nu(args) -> complex:
     return complex(math.cos(args.nu_phase), math.sin(args.nu_phase))
 
 
-def _record_doc(rec: SolutionRecord) -> dict:
-    return {
-        "family": rec.family.value,
-        "R": rec.R,
-        "n": rec.n,
-        "k": rec.k,
-        "alpha": rec.alpha,
-        "beta_prime": rec.beta_prime,
-        "beta": rec.beta,
-        "exists": rec.exists,
-        "reject_reason": rec.reject_reason,
-        "residual": rec.residual,
-        "branch": rec.branch,
-    }
+def _record_doc(rec) -> dict:
+    """A record dataclass's fields, in declaration order."""
+    return {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
 
 
 def _record_line(rec: SolutionRecord, stream) -> str:

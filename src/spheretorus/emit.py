@@ -15,6 +15,7 @@ import io
 import json
 import math
 import re
+from dataclasses import fields
 from itertools import accumulate
 from typing import Iterable, Optional, Union
 
@@ -230,18 +231,19 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
 
 # sweep CSV -----------------------------------------------------------------
 
-SWEEP_HEADER = (
-    "R", "n", "family", "k", "alpha", "beta_lo", "beta_hi", "exists",
-    "reject_reason",
-)
+SWEEP_HEADER = tuple(f.name for f in fields(SweepRow))
 
 
-def _csv_num(x: Optional[float]) -> str:
+def _csv_cell(x) -> str:
+    """A CSV cell: a float "0" or to 12 significant digits, None blank, a
+    bool true or false, and an int or str as ``str()``."""
+    if isinstance(x, float):  # most cells, so tested first
+        return "0" if x == 0.0 else "%.12g" % x
     if x is None:
         return ""
-    if float(x) == 0.0:
-        return "0"
-    return "%.12g" % float(x)
+    if isinstance(x, bool):  # before str(), which prints True
+        return "true" if x else "false"
+    return str(x)
 
 
 def emit_sweep_csv(rows: Iterable[SweepRow]) -> str:
@@ -249,18 +251,9 @@ def emit_sweep_csv(rows: Iterable[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        writer.writerow([
-            _csv_num(row.R),
-            str(row.n),
-            row.family,
-            "" if row.k is None else str(row.k),
-            _csv_num(row.alpha),
-            _csv_num(row.beta_lo),
-            _csv_num(row.beta_hi),
-            "true" if row.exists else "false",
-            row.reject_reason,
-        ])
+    # a dataclass instance's __dict__ holds its fields in declaration order,
+    # the order of SWEEP_HEADER
+    writer.writerows(map(_csv_cell, vars(row).values()) for row in rows)
     return buf.getvalue()
 
 

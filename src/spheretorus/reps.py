@@ -196,12 +196,11 @@ def spec_reason(spec: ReprSpec) -> str:
     if spec.family in (Family.S2MIN, Family.S2NONMIN):
         if spec.n < 2:
             return f"sphere chain needs n >= 2, got {spec.n}"
-        if spec.family == Family.S2MIN and spec.k is not None:
+        if spec.family == Family.S2NONMIN:
+            return chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
+        if spec.k is not None:
             return f"a minimal chain has no winding integer, got k={spec.k}"
-        reason = chain_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
-        if reason or spec.family == Family.S2NONMIN:
-            return reason
-        return minimal_reason(spec.R, spec.alpha)
+        return minimal_reason(spec.R, spec.n, spec.alpha, spec.beta_prime)
     if spec.family == Family.T2:
         return cycle_reason(spec.R, spec.n, spec.k, spec.beta_prime)
     if spec.family == Family.T2WINDOW:

@@ -13,6 +13,7 @@ from spheretorus.classify import (
     _candidate,
     _scan,
     classify_region,
+    cycle_reason,
     enumerate_s2_nonminimal,
     solve_minimal_s2,
     sweep_regions,
@@ -333,6 +334,36 @@ def test_window_kind_transitions():
     full = t2_beta_window(sec + 1e-6, 11, 3)
     assert full == BetaWindow("full", math.pi - TWO_PI / 11, math.pi, 0.0)
     assert t2_beta_window(100.0, 11, 3).kind == "full"
+
+
+def _ulps_around(x, count):
+    """x and the count floats either side of it."""
+    lo = x
+    for _ in range(count):
+        lo = math.nextafter(lo, -math.inf)
+    for _ in range(2 * count + 1):
+        yield lo
+        lo = math.nextafter(lo, math.inf)
+
+
+def test_window_kinds_are_the_cycle_rule_at_both_thresholds():
+    # within 40 ulps of the onset cos(pi/n)*sec(pi*k/n) and of the full
+    # split sec(pi*k/n): a window the CLI would build from is one the
+    # builder's rule accepts at its midpoint, and 'full' is that rule at
+    # beta' = pi, bit for bit
+    for n in range(3, 61):
+        for k in range(1, (n - 1) // 2 + 1):
+            if math.gcd(n, k) != 1:
+                continue
+            ck = math.cos(math.pi * k / n)
+            for R in (*_ulps_around(math.cos(math.pi / n) / ck, 40),
+                      *_ulps_around(1.0 / ck, 40)):
+                win = t2_beta_window(R, n, k)
+                if win.kind == "restricted":
+                    assert not cycle_reason(R, n, k, 0.5 * (win.lo + win.hi)), \
+                        (R, n, k)
+                assert (win.kind == "full") == \
+                    (cycle_reason(R, n, k, math.pi) == ""), (R, n, k)
 
 
 def test_window_validation():

@@ -589,6 +589,25 @@ def test_cli_verify_s2min_near_minus_one(R, n, capsys):
     assert doc["ok"] is True and doc["irreducible"] is True
 
 
+@pytest.mark.parametrize("report, make, family, R, n, k", [
+    ("solve-min-s2", "build s2min", "s2min", "-0.99999999999999", 100, None),
+    ("t2-window", "verify t2", "t2", "2.6180339887498953", 5, 2),
+], ids=["s2min", "t2"])
+def test_cli_reporter_and_builder_exit_alike(report, make, family, R, n, k,
+                                             capsys):
+    # R just above -1, where the root's first interior |C|^2 rounds below
+    # zero, and one ulp above the (5, 2) cycle's onset phi^2: the reporter,
+    # the builder and the sweep row give one verdict
+    flags = [f"--R={R}", "--n", str(n)] + ([] if k is None else ["--k", str(k)])
+    code = cli.main(report.split() + flags)
+    assert cli.main(make.split() + flags) == code
+    capsys.readouterr()
+    assert cli.main(["sweep", "--format", "json"] + flags[:3]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    row, = [r for r in rows if r["family"] == family and r["k"] == k]
+    assert row["exists"] == (code == 0)
+
+
 def _builder_document(family):
     """The document a builder writes for a small spec of the family."""
     if family == "nc-torus":
