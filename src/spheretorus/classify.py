@@ -145,35 +145,36 @@ def _rhat(alpha: float, n: int) -> float:
     return -math.cos(0.5 * n * alpha) / math.cos(0.5 * alpha)
 
 
-def _bisect(f, lo: float, hi: float, tol: float, zero_moves_hi: bool) -> float:
-    """The last midpoint of bisecting f's sign change on [lo, hi], at |f| <
-    tol or after 200 halvings; a zero moves hi if zero_moves_hi, else lo."""
-    f_lo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+def _bisect(f, lo: float, hi: float) -> float:
+    """The root of f's sign change on [lo, hi]: the first midpoint where f
+    is exactly 0, else the last one, once lo and hi are adjacent floats.
+    Each step moves an end to a float strictly between them, so it ends."""
+    neg_lo = f(lo) < 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = f(mid)
-        if abs(f_mid) < tol:
+        if f_mid == 0.0:
             break
-        if f_lo * f_mid < 0.0 or (zero_moves_hi and f_mid == 0.0):
-            hi = mid
+        if (f_mid < 0.0) == neg_lo:
+            lo = mid
         else:
-            lo, f_lo = mid, f_mid
+            hi = mid
     return mid
 
 
-def solve_minimal_s2(R: float, n: int, tol: float = 1e-12) -> SolutionRecord:
-    """The unique minimal sphere chain angle, by bisection.
+def solve_minimal_s2(R: float, n: int) -> SolutionRecord:
+    """The unique minimal sphere chain angle, by bisection to adjacent floats.
 
-    A root exists iff -1 < R < sec(pi/n); beta' = -n*alpha/2 spans the arc
-    symmetrically, and the chain exists iff ``minimal_reason``, the rule
-    ``reps.build`` applies, accepts it at the root.
+    A root exists iff _rhat(0) = -1 < R < _rhat(2*pi/n) = sec(pi/n), the
+    ends of the bracket; beta' = -n*alpha/2 spans the arc symmetrically, and
+    the chain exists iff ``minimal_reason``, the rule ``reps.build``
+    applies, accepts it at the root.  So the verdict depends on (R, n) only.
     """
     _check_domain(R, n=n)
     reason = ("no root: R outside (-1, sec(pi/n)) = "
               f"(-1, {1.0 / math.cos(math.pi / n):.6g})")
-    lo, hi = 1e-13, (TWO_PI / n) * (1.0 - 1e-13)
-    if _rhat(lo, n) - R < 0.0 < _rhat(hi, n) - R:
-        alpha = _bisect(lambda a: _rhat(a, n) - R, lo, hi, tol, True)
+    hi = TWO_PI / n
+    if -1.0 < R < _rhat(hi, n):  # _rhat(0.0, n) is -1.0
+        alpha = _bisect(lambda a: _rhat(a, n) - R, 0.0, hi)
         reason = minimal_reason(R, n, alpha, -0.5 * n * alpha)
     if reason:
         return SolutionRecord(Family.S2MIN, R, n, None, None, None, False,
@@ -249,7 +250,7 @@ def _scan(n: int, grid: int) -> Optional[tuple]:
 
 
 def enumerate_s2_nonminimal(
-    R: float, n: int, grid: int = 4096, tol: float = 1e-12
+    R: float, n: int, grid: int = 4096
 ) -> List[SolutionRecord]:
     """All non-minimal sphere chain candidates at fixed (R, n).
 
@@ -261,7 +262,8 @@ def enumerate_s2_nonminimal(
     zero at either end, so that np.cos differing from math.cos in the last
     ulp can add a bracket but never drop one.  Each candidate is
     re-evaluated with math.cos and its root comes from ``_bisect``, the one
-    bisection, so every root is what a scalar scan of the grid finds.
+    bisection, to adjacent floats, so every root is what a scalar scan of
+    the grid finds.
     Branch B takes the rational angles alpha = 2*pi*k'/n, gcd(k', n) = 1,
     and solves cos(beta') = -R*cos(pi*k'/n) for both roots in (-2*pi, 0].
     Candidates failing ``chain_reason`` are kept with its reason.
@@ -290,7 +292,7 @@ def enumerate_s2_nonminimal(
             if h1 == 0.0:
                 alpha = a1
             elif h1 * h2 < 0.0:
-                alpha = _bisect(h, a1, a2, tol, False)
+                alpha = _bisect(h, a1, a2)
             else:
                 continue
             if records and abs(records[-1].alpha - alpha) < 1e-9:

@@ -223,7 +223,7 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_solve_min_s2(args) -> int:
-    rec = solve_minimal_s2(args.R, args.n, tol=args.tol)
+    rec = solve_minimal_s2(args.R, args.n)
     if not rec.exists:
         raise DomainError(rec.reject_reason, _record_doc(rec))
     _print_doc(args, _record_doc(rec), [_record_line(rec, sys.stdout)])
@@ -231,8 +231,7 @@ def _cmd_solve_min_s2(args) -> int:
 
 
 def _cmd_enum_s2(args) -> int:
-    records = enumerate_s2_nonminimal(args.R, args.n, grid=args.grid,
-                                      tol=args.tol)
+    records = enumerate_s2_nonminimal(args.R, args.n, grid=args.grid)
     if args.format == "csv":
         from .emit import emit_sweep_csv
 
@@ -486,8 +485,6 @@ _R_SPEC = _flag("--R", type=_finite_float, help="surface parameter R")
 _R_EXACT = _flag("--R", type=_fraction, required=True,
                  help="surface parameter R, exact (e.g. 5/8 or 0.625)")
 _CHAIN = _flag("--n", type=_dim, required=True, help="chain length")
-_TOL = _flag("--tol", type=_finite_float, default=1e-12,
-             help="numeric tolerance (default 1e-12)")
 _OUT = _flag("--out", help="write output to this file")
 _JSON_TEXT = _format("json", "text")
 _JSON_CSV_TEXT = _format("json", "csv", "text")
@@ -524,10 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
         _R, _grid(256), _OUT, _JSON_CSV_TEXT)
     new("solve-min-s2", _cmd_solve_min_s2,
         "solve the minimal sphere chain angle at (R, n)",
-        _R, _TOL, _JSON_TEXT, _CHAIN)
+        _R, _JSON_TEXT, _CHAIN)
     new("enum-s2", _cmd_enum_s2,
         "enumerate non-minimal sphere chain candidates at (R, n)",
-        _R, _TOL, _grid(4096), _OUT, _JSON_CSV_TEXT, _CHAIN)
+        _R, _grid(4096), _OUT, _JSON_CSV_TEXT, _CHAIN)
     new("t2-window", _cmd_t2_window,
         "admissible beta' window for the finite torus at (R, n, k)",
         _R, _JSON_TEXT,

@@ -134,7 +134,7 @@ def _branch_k(x):
     return None
 
 
-def _enumerate_scalar(R, n, grid=4096, tol=1e-12):
+def _enumerate_scalar(R, n, grid=4096):
     records = []
 
     def h(alpha, k):
@@ -157,16 +157,19 @@ def _enumerate_scalar(R, n, grid=4096, tol=1e-12):
                 continue
             if h1 * h2 >= 0.0:
                 continue
-            for _ in range(100):
+            # halve until h is exactly zero or a1, a2 are adjacent floats
+            while True:
                 mid = 0.5 * (a1 + a2)
+                if mid in (a1, a2):
+                    break
                 hm = h(mid, k)
-                if abs(hm) < tol:
+                if hm == 0.0:
                     break
                 if h1 * hm < 0.0:
                     a2 = mid
                 else:
                     a1, h1 = mid, hm
-            roots.append((0.5 * (a1 + a2), k))
+            roots.append((mid, k))
         for alpha, k in roots:
             if records and records[-1].branch == "A" and \
                     abs((records[-1].alpha or 0.0) - alpha) < 1e-9:
@@ -200,16 +203,13 @@ def _enumerate_scalar(R, n, grid=4096, tol=1e-12):
 def test_enumeration_matches_scalar_oracle():
     rng = random.Random(9)
     found = 0
-    # 100 and 1000 are not powers of two: i / grid rounds there.  tol = 0
-    # (the CLI's --tol 0) bisects every root down to adjacent floats
-    for tol in (1e-12, 0.0):
-        for grid in (1, 2, 16, 64, 100, 1000, 4096):
-            for _ in range(40 if grid < 1000 and tol else 25):
-                R, n = rng.uniform(-1.5, 3.0), rng.randint(2, 200)
-                recs = enumerate_s2_nonminimal(R, n, grid=grid, tol=tol)
-                assert recs == _enumerate_scalar(R, n, grid=grid, tol=tol), \
-                    (R, n, grid, tol)
-                found += sum(r.branch == "A" for r in recs)
+    # 100 and 1000 are not powers of two: i / grid rounds there
+    for grid in (1, 2, 16, 64, 100, 1000, 4096):
+        for _ in range(40 if grid < 1000 else 25):
+            R, n = rng.uniform(-1.5, 3.0), rng.randint(2, 200)
+            recs = enumerate_s2_nonminimal(R, n, grid=grid)
+            assert recs == _enumerate_scalar(R, n, grid=grid), (R, n, grid)
+            found += sum(r.branch == "A" for r in recs)
     assert found > 100  # the draws do reach branch A
 
 

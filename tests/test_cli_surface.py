@@ -3,10 +3,11 @@
 cli_help.golden holds the --help text of the root parser and of the 12
 subcommands at COLUMNS=80, and USAGE_ERRORS the JSON record of each usage
 error, both taken from the parser as it stood before it was built once per
-process; its last rows pin the bound on --k, a sweep step that overflows
-and messages cut to MAX_MESSAGE.  Every argv, valid or not, must end in
-exit 0, 1 or 2 and never in a traceback, and every error class of the
-package must reach the one record writer.
+process; its last rows pin the bound on --k, a sweep step that overflows,
+messages cut to MAX_MESSAGE and the --tol the chain solvers do not take.
+Every argv, valid or not, must end in exit 0, 1 or 2 and never in a
+traceback, and every error class of the package must reach the one record
+writer.
 """
 
 import contextlib
@@ -157,6 +158,12 @@ USAGE_ERRORS = [
      _cut("spheretorus: unrecognized arguments: --")),
     (["build", "s2min", "--n", _LONG[:300]],
      _cut("spheretorus build: argument --n: must lie in [1, 4096], got ")),
+    # the chain solvers take no tolerance; verify's --tol is the residual
+    # threshold
+    (["solve-min-s2", "--R", "0.5", "--n", "5", "--tol", "1e-12"],
+     "spheretorus: unrecognized arguments: --tol 1e-12"),
+    (["enum-s2", "--R", "1.5", "--n", "11", "--tol", "1e-12"],
+     "spheretorus: unrecognized arguments: --tol 1e-12"),
 ]
 
 
@@ -361,9 +368,9 @@ _REP = {"--n": SMALL_INTS, "--k": SMALL_INTS, "--alpha": FLOATS,
 FLAGS = {
     "topology": {"--R": FLOATS},
     "slice": {"--R": FLOATS, "--grid": GRIDS, "--out": OUTS},
-    "solve-min-s2": {"--R": FLOATS, "--n": SMALL_INTS, "--tol": TOLS},
-    "enum-s2": {"--R": FLOATS, "--n": SMALL_INTS, "--tol": TOLS,
-                "--grid": GRIDS, "--out": OUTS},
+    "solve-min-s2": {"--R": FLOATS, "--n": SMALL_INTS},
+    "enum-s2": {"--R": FLOATS, "--n": SMALL_INTS, "--grid": GRIDS,
+                "--out": OUTS},
     "t2-window": {"--R": FLOATS, "--n": SMALL_INTS, "--k": SMALL_INTS},
     "classify": {"--R": FLOATS, "--eps": FLOATS},
     "build": dict(_REP, **{"--out": OUTS}),

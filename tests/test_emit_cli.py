@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -96,7 +99,7 @@ def test_json_rejects_unknown_family():
 def test_fourth_root_of_two_appears_verbatim():
     rec = solve_minimal_s2(0.0, 2)
     m = build_s2(ReprSpec(Family.S2MIN, 0.0, 2, rec.alpha, rec.beta_prime))
-    assert "1.1892071150026893" in emit_rep_json(m)
+    assert "1.189207115002721" in emit_rep_json(m)
 
 
 # ----------------------------------------------------------------- CSV
@@ -592,12 +595,15 @@ def test_cli_verify_s2min_near_minus_one(R, n, capsys):
 @pytest.mark.parametrize("report, make, family, R, n, k", [
     ("solve-min-s2", "build s2min", "s2min", "-0.99999999999999", 100, None),
     ("t2-window", "verify t2", "t2", "2.6180339887498953", 5, 2),
-], ids=["s2min", "t2"])
+    ("solve-min-s2", "build s2min", "s2min", "1.999999999", 3, None),
+], ids=["s2min", "t2", "s2min-top"])
 def test_cli_reporter_and_builder_exit_alike(report, make, family, R, n, k,
                                              capsys):
-    # R just above -1, where the root's first interior |C|^2 rounds below
-    # zero, and one ulp above the (5, 2) cycle's onset phi^2: the reporter,
-    # the builder and the sweep row give one verdict
+    # R just above -1, where the root's first interior |C|^2 is about 4e-16
+    # and both exit 0; one ulp above the (5, 2) cycle's onset phi^2; and R
+    # 1e-9 below sec(pi/3), where the root's R_eps lies below R and the
+    # region table refuses: the reporter, the builder and the sweep row
+    # give one verdict
     flags = [f"--R={R}", "--n", str(n)] + ([] if k is None else ["--k", str(k)])
     code = cli.main(report.split() + flags)
     assert cli.main(make.split() + flags) == code
@@ -606,6 +612,29 @@ def test_cli_reporter_and_builder_exit_alike(report, make, family, R, n, k,
     rows = json.loads(capsys.readouterr().out)["rows"]
     row, = [r for r in rows if r["family"] == family and r["k"] == k]
     assert row["exists"] == (code == 0)
+
+
+def _spheretorus(argv):
+    """The CLI as a user runs it: ``python -m spheretorus.cli`` in a fresh
+    interpreter, warnings as errors."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error")
+    return subprocess.run([sys.executable, "-m", "spheretorus.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("command", ["solve-min-s2", "verify s2min"])
+def test_no_minimal_chain_where_the_region_table_lists_none(command):
+    # 1e-9 below sec(pi/3) = 2 the root's R_eps = sqrt(1 + tan^2(alpha/2))
+    # lies below R: exit 1, nothing on stdout, one JSON record on stderr
+    proc = _spheretorus(command.split() + ["--R", "1.999999999", "--n", "3"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error" in json.loads(proc.stderr)
+    # farther below sec(pi/3) the chain exists
+    proc = _spheretorus(command.split() + ["--R", "1.9999", "--n", "3"])
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _builder_document(family):
@@ -690,7 +719,7 @@ def test_cli_verify_checks_the_document_spec(base, edit, error, tmp_path,
     ["classify", "--R={}", "--eps", "0.5"],
     ["classify", "--R", "1.05", "--eps={}"],
     ["solve-min-s2", "--R={}", "--n", "5"],
-    ["solve-min-s2", "--R", "0.5", "--n", "5", "--tol={}"],
+    ["verify", "t2", "--R", "2", "--n", "11", "--k", "1", "--tol={}"],
 ])
 def test_cli_rejects_non_finite_floats(argv, value, capsys):
     rc = cli.main([arg.format(value) for arg in argv])
@@ -704,7 +733,7 @@ def test_cli_rejects_non_finite_floats(argv, value, capsys):
 def test_cli_build_s2min_contains_frozen_entry(capsys):
     rc = cli.main(["build", "s2min", "--R", "0", "--n", "2"])
     assert rc == 0
-    assert "1.1892071150026893" in capsys.readouterr().out
+    assert "1.189207115002721" in capsys.readouterr().out
 
 
 def test_cli_build_nc_torus_wrap_phase(capsys):

@@ -169,19 +169,19 @@ def _cli_texts():
 
 GOLDEN = {
     "s2min-n2":
-        "d67d5eb722f4c2817d1e6f75d1a30b56b8ec5aa889855f2d15f5058721288caa",
+        "37690f5495456f8f30aa4192d83b08e29098f41f813b98abdf64119ebe701919",
     "s2min-n3":
-        "f41c86bc27fc39ffae4851bea446b07edaf899bd79459616fdb75f0a74d69559",
+        "c377e4ce2279664efb3c3266da33d8fef0f0be25db3ad27d7dce810188fd5d69",
     "s2min-n16":
-        "5c207784b7e201585dba0fd3a7f8f698caed8fd0e1fcfc6dcb63742eb7d5929b",
+        "12f310e402137d7f5a4deb36d730b2024f361fd4fb17c11eaa66efb06d1fcc9e",
     "s2min-n33":
-        "9ef72ac4d9a7ce0035568cfab798559eb31b642f09dd760fd8bfba449db0ce43",
+        "a02cbeb516e206e02971e58c5e8ab17d97d2732874406edf672122f57fc84b30",
     "s2nonmin-n3":
         "849fd6c91d8d83c6f46b413c36e75942ae4d5a7fdeb0d7348e94d060f2fb3804",
     "s2nonmin-n16":
-        "bd9c9bbad11dc83b61524731a82aec171ee383bfa384748c601ecba2ef979aff",
+        "01f3be154808cca273fbbb109cdc195f543e62cda1dd374a3cd5497b0fdd6727",
     "s2nonmin-n33":
-        "01d9d2979ab9c3327eb2f1bb58c7e9b682b68d55e848e9a2a0ff0c1a2962e60f",
+        "7e0d700f56b0d08bb633576c27e5126790a58e8bd73c4fd8ed3edb0c80fca14d",
     "t2-n3":
         "986976a33313e0f3b5d5076c424daed05ce3ad1fc0283db33747557a4c29e11e",
     "t2-n16":
@@ -205,7 +205,7 @@ GOLDEN = {
     "nc-torus-n16":
         "713d5f0515396e251aa875d5cae2b68e479e601a21d8079cae42e544e7866c5c",
     "s2min-off-band":
-        "ed2a91636906736ab3a6013621c9dcc1f30c3460e321e04d810f584fca818a86",
+        "9ef7f014088821b3fd59d40d74ee4b894f452f616962081cf9e15f957c92b55d",
     "nc-torus-off-band":
         "02b8a46229d4f0de964976e041ec844982ed83eff746183f35ebe180d355bcc0",
     "topology-stdout":
@@ -213,9 +213,9 @@ GOLDEN = {
     "topology-compact":
         "b3fdf8b9082e539099f3739f0bcc1d544ff496a8aa93ebb05961a5eddf2d7b40",
     "solve-min-s2-stdout":
-        "e8a60d5d95a0922fb2a169d44f52c05471a9f384ed1be69a153830237c25acea",
+        "5d5863eb5de62953d5cf2b8e3548c1a2d4fa2524f7414ae5fe0f28c38556ee1d",
     "solve-min-s2-compact":
-        "180c72303a9cd2616608ced73fed7c83e21bae499a15ecafcf483a72a27bb880",
+        "44d4bef46ad94908df8b98faea4d40390a5e32013f71d39d88ff4622917af726",
     "t2-window-stdout":
         "975eb1adacc87dbe49e07825730d9ba7e8db8d12b4b038a624bc877a2e7ab478",
     "t2-window-compact":
@@ -229,9 +229,9 @@ GOLDEN = {
     "reduce-compact":
         "4583e60f519e4e613f1fbb279cfe0721220b20750a1d5904d61eb5e1d68676bc",
     "enum-s2-stdout":
-        "f0eff4575e5ea4a72313a32422e5541ad3ec084b4e3590be93d48d843eef97fd",
+        "598181adbd82a0e128881f82ebb05bb51e3e6b1b62d7cc9789f502202c28be58",
     "enum-s2-compact":
-        "449045125cc32291e7149330bdebfee7d2c7fb88f0226e12a415cf78296117b0",
+        "cc206958f6b66f2cb066f91f77e36e2238449cf0d5a180843f09a739ade2c3f2",
 }
 
 

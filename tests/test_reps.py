@@ -163,8 +163,9 @@ def test_every_solved_minimal_chain_builds(end):
     # list it: near R = -1 every |C|^2 scales with 1 + R, so an absolute
     # interior floor would reject chains that verify; near sec(pi/n) the
     # solved R lies within float dust of R_eps = sqrt(1 + tan^2(alpha/2)).
-    # At the lowest gaps the root's interior |C|^2 can round to or below
-    # zero; the solver then refuses with the builder's chain test
+    # At the lowest gaps the root's interior |C|^2, about 4(1 + R)/n, can
+    # round to or below zero; the solver then refuses with the builder's
+    # chain test, and only there: the root is bisected to adjacent floats
     solved = 0
     reducible = []
     for R, n in _boundary_draws(end):
@@ -173,6 +174,7 @@ def test_every_solved_minimal_chain_builds(end):
             if end == "lowest":
                 assert rec.reject_reason.startswith(
                     "inequality fails at m="), (R, n, rec.reject_reason)
+                assert 1.0 + R <= 1e-13, (R, n, rec.reject_reason)
             continue
         solved += 1
         assert classify_region(R, math.tan(0.5 * rec.alpha)).minimal_s2, (R, n)

@@ -225,7 +225,7 @@ def argvs(manifest):
                      ["diagram", family, *flags]]
     runs.append(["sweep", "--n", "9", "--R=1.5", "--format", "csv"])
     runs += [["solve-min-s2", "--R", R, "--n", "3"]
-             for R in ("1.99999999", "1.9999")]
+             for R in ("1.99999999", "1.999999999", "1.9999")]
     rng = random.Random(19)
     runs += [_drawn_argv(rng) for _ in range(600)]
     for argv in runs:
