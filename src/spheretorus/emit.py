@@ -4,8 +4,9 @@ All numbers are serialized with 17 significant digits, so emit -> load ->
 emit is byte-identical and loaded matrices reproduce residuals exactly.
 One renderer, ``jsontext``, writes both the pretty and the compact JSON;
 this module re-exports ``render_json`` and ``render_json_compact``.
-Representation documents hold their matrices as complex ndarrays, and
-``load_rep_json`` reads its own text back from the nonzero entries.
+Representation documents hold their matrices as diagonals (``reps._Diags``;
+a clock/shift pair's as complex ndarrays), and ``load_rep_json`` reads its
+own text back into diagonals from the nonzero entries, with no n x n array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .classify import SweepRow
 from .errors import InvalidSpec
-from .jsontext import _block, _quote, render_json, render_json_compact
+from .jsontext import _matrix, _quote, render_json, render_json_compact
 from .reps import (
     Family,
     NcTorusPair,
@@ -34,6 +35,7 @@ from .reps import (
     nc_torus_residuals,
     spec_reason,
     verify_relations,
+    _Diags,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +46,7 @@ TWO_PI = 2.0 * math.pi
 
 def rep_document(m: ReprMatrices, report: Optional[ResidualReport] = None) -> dict:
     """The JSON document (as a dict) for a representation; its matrices are
-    dense arrays made from the representation's diagonals."""
+    the representation's diagonals, which the renderer writes as n x n."""
     spec = m.spec
     residuals = (verify_relations(m) if report is None else report).residuals
     return {
@@ -57,7 +59,7 @@ def rep_document(m: ReprMatrices, report: Optional[ResidualReport] = None) -> di
         "k": None if spec.k is None else int(spec.k),
         "nu": [float(spec.nu.real), float(spec.nu.imag)],
         "eps": float(spec.eps),
-        "matrices": {"u": m.u, "ap": m.ap, "am": m.am},
+        "matrices": dict(zip(("u", "ap", "am"), m.diags)),
         "residuals": {key: float(residuals[key]) for key in sorted(residuals)},
     }
 
@@ -134,13 +136,15 @@ _ENTRY = re.compile(rf"\[(?!0, 0\]){_NUM}, {_NUM}\]")
 
 
 def _band_doc(text: str) -> Optional[dict]:
-    """json.loads(text) with each matrix an (n, n, 2) array read from its
-    entries other than [0, 0]; None unless text has render_json's layout.
+    """json.loads(text) with each matrix a ``_Diags`` filled from its entries
+    other than [0, 0]; None unless text has render_json's layout.
 
     The header is parsed with the matrices value cut to {}, which with no
     backslash and one '"matrices"' is the top-level value.  The block must
-    render itself: with its entries put back to [0, 0] it is zero matrices,
-    and each number is written as render_json writes it (finite, never -0).
+    render itself, matrix by matrix: "{" or "," and the quoted name before
+    each value, and each value with its entries put back to [0, 0] a zero
+    matrix; each number is written as render_json writes it (finite, never
+    -0).
     """
     start = text.find(_MATRICES) + len(_MATRICES)
     end = text.find("\n  }", start) + 4
@@ -154,21 +158,30 @@ def _band_doc(text: str) -> Optional[dict]:
     n = doc.get("n") if isinstance(doc, dict) and doc.get("matrices") == {} else 0
     if type(n) is not int or not 0 < 8 * n * n <= end - start:
         return None  # an n x n block takes 8 n^2 characters or more
-    names = _KEY.findall(text, start, end)
-    pieces = _ENTRY.split(text[start:end])  # gap, re, im, gap, re, im, ..., gap
-    zeros = _block("[", ["[" + ("[0, 0], " * n)[:-2] + "]"] * n, "]", "    ")
-    if "-0" in pieces or "[0, 0]".join(pieces[::3]) != _block(
-            "{", [_quote(name) + ": " + zeros for name in names], "}", "  "):
-        return None  # not zero matrices around the entries, or a -0
-    # an entry's flat position counts the [0, 0] and the entries before it
-    index = accumulate([g.count("[0, 0]") + 1 for g in pieces[:-1:3]], initial=-1)
-    del pieces[::3]  # re and im of each entry in turn
-    parts = list(map(float, pieces))
-    if ",".join(pieces) != ("%.17g," * len(parts))[:-1] % tuple(parts):
+    keys = list(_KEY.finditer(text, start, end))
+    stops = [key.start() - 1 for key in keys[1:]] + [end - 4]  # value ends
+    zeros = _matrix(_Diags(n, {}), "    ")  # an n x n zero matrix's text
+    mats, at = {}, start
+    for key, stop in zip(keys, stops):
+        name, value = key[1], key.end() - 2
+        if text[at:value] != ("," if mats else "{") + "\n    " + _quote(name) + ": ":
+            return None
+        pieces = _ENTRY.split(text[value:stop])  # gap, re, im, ..., gap
+        if "-0" in pieces or "[0, 0]".join(pieces[::3]) != zeros:
+            return None  # not a zero matrix around the entries, or a -0
+        # an entry's flat position counts the [0, 0] and entries before it
+        index = accumulate([g.count("[0, 0]") + 1 for g in pieces[:-1:3]],
+                           initial=-1)
+        del pieces[::3]  # re and im of each entry in turn
+        parts = list(map(float, pieces))
+        if ",".join(pieces) != ("%.17g," * len(parts))[:-1] % tuple(parts):
+            return None
+        mats[name] = _Diags.at(n, np.fromiter(index, np.intp)[1:],
+                               np.array(parts).view(complex))
+        at = stop
+    if not mats:
         return None
-    flat = np.zeros(len(names) * n * n, dtype=complex)
-    flat.put(list(index)[1:], np.array(parts).view(complex))
-    doc["matrices"] = dict(zip(names, flat.view(float).reshape(-1, n, n, 2)))
+    doc["matrices"] = mats
     return doc
 
 
@@ -181,7 +194,9 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     reps.spec_reason, an alpha, beta or eps other than the spec's, or a
     clock/shift pair failing reps.nc_torus_reason.  Entries off the band
     load as they are, for verify to report; _band_doc reads this module's
-    own text as json.loads would.
+    own text as json.loads would, straight into diagonals, and any other
+    text goes through json.loads and dense arrays.  A clock/shift pair's u
+    and v are dense either way.
     """
     try:
         doc = isinstance(text, str) and _band_doc(text) or json.loads(text)
@@ -197,15 +212,18 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     n = int(_field(doc, "n", kinds="i"))
     mats = doc["matrices"] if isinstance(doc.get("matrices"), dict) else {}
 
-    def matrix(name: str) -> np.ndarray:
+    def matrix(name: str) -> Union[_Diags, np.ndarray]:
+        if type(mats.get(name)) is _Diags:  # read from the band
+            return mats[name]
         arr = _field(mats, name, (n, n, 2)).astype(float, copy=False)
         return arr.view(complex)[..., 0]
 
     nu = complex(*_field(doc, "nu", (2,)).tolist())
     if fam == Family.NC_TORUS:
         k = int(_field(doc, "k", kinds="i"))
-        loaded = NcTorusPair(n, k, float(_field(doc, "beta")), nu,
-                             matrix("u"), matrix("v"))
+        u, v = (x if isinstance(x, np.ndarray) else x.dense()
+                for x in (matrix("u"), matrix("v")))
+        loaded = NcTorusPair(n, k, float(_field(doc, "beta")), nu, u, v)
         reason = nc_torus_reason(n, k, nu)
     else:
         spec = ReprSpec(

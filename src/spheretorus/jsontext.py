@@ -1,12 +1,15 @@
 """The one JSON renderer: pretty and compact text, 17 significant digits.
 
 Numbers are written with 17 significant digits, so emit -> load -> emit is
-byte-identical.  Matrices are complex ndarrays, rendered as rows of
-[re, im] pairs; a run of zero entries is "[0, 0]" repeated, so only the
-nonzero entries (O(n) of the n^2 in a banded representation) are
-formatted.  Every other number is a Python int or float.  This module does
-not import numpy: an ndarray is recognised through ``sys.modules``, because
-until numpy has been imported none can exist.
+byte-identical.  A matrix is a complex ndarray or, duck-typed, an object
+that lists its nonzero entries by flat position (``reps._Diags``); either
+is rendered as rows of [re, im] pairs.  Its text is the zero matrix's, made
+by string repetition, with the nonzero entries (O(n) of the n^2 in a banded
+representation), formatted in one batch, spliced in at offsets computed
+from their rows and columns.  Every other number is a Python int or float.
+This module imports neither numpy nor ``reps``: an ndarray is recognised
+through ``sys.modules``, because until numpy has been imported none can
+exist.
 """
 
 from __future__ import annotations
@@ -43,26 +46,42 @@ def _inline_list(lst: list) -> bool:
     )
 
 
-def _matrix_rows(mat, sep: str) -> List[str]:
-    """Rows of a 2-D array as "[[re, im], ...]" texts; only nonzeros are
-    formatted, and a run of zeros is "[0, 0]" repeated."""
+def _matrix(mat, pad: Optional[str]) -> str:
+    """The text of a matrix: an ndarray, or an object with a size ``n`` whose
+    ``entries()`` gives the flat positions (ascending) and the values of its
+    nonzero entries.  Every "[0, 0]" has one width, so the zero matrix's text
+    is made whole and the formatted entries are spliced in at the offsets
+    their rows and columns give."""
     np = sys.modules["numpy"]
-    arr = np.asarray(mat, dtype=complex)
-    nrows, ncols = arr.shape
-    index = np.flatnonzero(arr)
-    parts = arr.ravel()[index].view(float) + 0.0  # -0.0 becomes 0.0
+    if isinstance(mat, np.ndarray):
+        arr = np.asarray(mat, dtype=complex)
+        (nrows, ncols), index = arr.shape, np.flatnonzero(arr)
+        values = arr.ravel()[index]
+    else:
+        nrows = ncols = mat.n
+        index, values = mat.entries()
+    sep = "," if pad is None else ", "
+    indent = "" if pad is None else "\n" + pad + "  "  # as _block writes
+    zero = "[0" + sep + "0]"
+    row = "[" + sep.join([zero] * ncols) + "]"
+    text = _block("[", [row] * nrows, "]", pad)
+    if not len(index):
+        return text
+    parts = values.view(float) + 0.0  # -0.0 becomes 0.0
     for bad in parts[~np.isfinite(parts)][:1].tolist():
         _num_str(bad)  # raises DomainError
-    parts = parts.tolist()
-    zero, entry = "[0" + sep + "0]" + sep, "[%.17g" + sep + "%.17g]" + sep
-    lines: List[list] = [[] for _ in range(nrows)]
-    ends = [0] * nrows
-    for i, re_, im in zip(index.tolist(), parts[::2], parts[1::2]):
-        r, c = divmod(i, ncols)
-        lines[r] += (zero * (c - ends[r]), entry % (re_, im))
-        ends[r] = c + 1
-    return ["[" + ("".join(line) + zero * (ncols - end))[:-len(sep)] + "]"
-            for line, end in zip(lines, ends)]
+    # "[" and the indent open the block, "," and the indent part its rows,
+    # "[" opens a row and each cell before the entry is a zero and sep
+    rows, cols = np.divmod(index, ncols)
+    at = rows * (len(row) + 1 + len(indent)) + cols * (len(zero) + len(sep))
+    at += 2 + len(indent)
+    ends, at = (at + len(zero)).tolist(), at.tolist()
+    # all entries formatted by one %, parted at NULs, which no number holds
+    entry = "[%.17g" + sep + "%.17g]\0"
+    pieces = [None] * (2 * len(at) + 1)
+    pieces[::2] = [text[a:b] for a, b in zip([0] + ends, at + [len(text)])]
+    pieces[1::2] = (entry * len(at) % tuple(parts.tolist())).split("\0")[:-1]
+    return "".join(pieces)
 
 
 def _block(open_: str, items: List[str], close: str, pad: Optional[str]) -> str:
@@ -99,8 +118,8 @@ def _render(obj, pad: Optional[str]) -> str:
                  for k, v in obj.items()]
         return _block("{", items, "}", pad)
     np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.ndarray):
-        return _block("[", _matrix_rows(obj, sep), "]", pad)
+    if np is not None and isinstance(obj, np.ndarray) or hasattr(obj, "entries"):
+        return _matrix(obj, pad)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -21,11 +21,13 @@ region table); ``build(spec)`` applies it and makes all five (``build_s2``,
 table: the deformed relations, the fuzzy sphere's su(2) relations, or the
 Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and
 am once, as nonzero diagonals (``_Diags``, the DIA format) that residuals,
-``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals).  Dense
-input (a v1 document, an edited matrix) is read once, off-band entries
-included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.  Products
-and norms sum in offset order and ``rep_evaluate`` in (r, s) key order, so no
-dict insertion order reaches a float.
+``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals), and that
+documents are rendered from and loaded into by flat position
+(``_Diags.entries`` and ``_Diags.at``), with no n x n array.  Dense input
+(a document that json.loads reads, an edited matrix) is read once, off-band
+entries included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.
+Products and norms sum in offset order and ``rep_evaluate`` in (r, s) key
+order, so no dict insertion order reaches a float.
 """
 
 from __future__ import annotations
@@ -292,14 +294,36 @@ class _Diags:
         ``_Diags`` is returned as it is)."""
         if isinstance(mat, _Diags):
             return mat
-        n = mat.shape[0]
-        rows, cols = np.divmod(np.flatnonzero(mat != 0), n)
+        index = np.flatnonzero(mat)
+        return cls.at(mat.shape[0], index, np.ravel(mat)[index])
+
+    @classmethod
+    def at(cls, n: int, index: np.ndarray, values: np.ndarray) -> "_Diags":
+        """The n x n matrix with values[k] at flat position index[k] = i*n + j
+        and zeros elsewhere; its offsets in ascending order."""
+        rows, cols = np.divmod(index, n)
+        offsets = cols - rows
         d = {}
-        for a in sorted(set((cols - rows).tolist())):
+        for a in sorted(set(offsets.tolist())):
+            on = offsets == a
             v = np.zeros(n, dtype=complex)
-            v[max(0, -a):min(n, n - a)] = np.diagonal(mat, a)
+            v[rows[on]] = values[on]
             d[a] = v
         return cls(n, d)
+
+    def entries(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(index, values) of the nonzero entries, the inverse of ``at``:
+        flat positions i*n + j in ascending order and the entries there."""
+        n = self.n
+        index, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+        for a, v in self.d.items():
+            rows = np.arange(max(0, -a), min(n, n - a))
+            rows = rows[v[rows] != 0]
+            index.append(rows * (n + 1) + a)
+            values.append(v[rows])
+        index = np.concatenate(index)
+        order = np.argsort(index)
+        return index[order], np.concatenate(values)[order]
 
     @classmethod
     def eye(cls, n: int) -> "_Diags":
@@ -460,8 +484,10 @@ def check_irreducible(m: ReprMatrices) -> bool:
             return False
     mag = _Diags(n, {a: np.abs(v) for a, v in ap.d.items()})
     # edges (i, i+a) on each diagonal a of |ap| + |ap|^T
-    edges = [(np.flatnonzero(v > 1e-12), a)
-             for a, v in (mag + mag.H).d.items()]
+    edges = {a: v > 1e-12 for a, v in (mag + mag.H).d.items()}
+    if 1 in edges and edges[1][:n - 1].all():
+        return True  # the path 0-1-...-(n-1) spans the graph
+    edges = [(np.flatnonzero(on), a) for a, on in edges.items()]
     # component labels by min-label hooking with pointer jumping; each
     # label stays a node of its own component, so all are 0 iff connected
     label = np.arange(n)

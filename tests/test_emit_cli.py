@@ -18,6 +18,7 @@ from spheretorus.classify import (
 )
 from spheretorus.emit import (
     SWEEP_HEADER,
+    _band_doc,
     emit_diagram_svg,
     emit_nc_torus_json,
     emit_rep_json,
@@ -614,11 +615,13 @@ def test_cli_reporter_and_builder_exit_alike(report, make, family, R, n, k,
     assert row["exists"] == (code == 0)
 
 
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
 def _spheretorus(argv):
     """The CLI as a user runs it: ``python -m spheretorus.cli`` in a fresh
     interpreter, warnings as errors."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error")
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error")
     return subprocess.run([sys.executable, "-m", "spheretorus.cli", *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)
@@ -635,6 +638,26 @@ def test_no_minimal_chain_where_the_region_table_lists_none(command):
     # farther below sec(pi/3) the chain exists
     proc = _spheretorus(command.split() + ["--R", "1.9999", "--n", "3"])
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_verify_file_through_both_loaders(tmp_path):
+    # the file build writes is read from its band, the re-indented one by
+    # json.loads; verify prints the same report for both
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                              text=True, timeout=120, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(_SRC),
+                                       PYTHONWARNINGS="error"))
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc.stdout
+
+    cli = ("-m", "spheretorus.cli")
+    run(*cli, "build", "s2min", "--R", "0.5", "--n", "256", "--out", "big.json")
+    band = run(*cli, "verify", "big.json")
+    run("-m", "json.tool", "big.json", "indented.json")
+    assert run(*cli, "verify", "indented.json") == band
+    assert _band_doc((tmp_path / "big.json").read_text()) is not None
+    assert _band_doc((tmp_path / "indented.json").read_text()) is None
 
 
 def _builder_document(family):

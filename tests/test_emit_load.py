@@ -36,6 +36,9 @@ from spheretorus.reps import (
     build_s2,
     build_t2_finite,
     build_t2_window,
+    check_irreducible,
+    verify_relations,
+    _Diags,
 )
 
 SIZES = (1, 2, 3, 4, 5, 8, 9, 16, 33, 63)
@@ -267,6 +270,21 @@ def test_band_path_matches_json_path_on_off_band_documents():
     assert _outcome(text) == _reference(text)
 
 
+@pytest.mark.parametrize("family", ["s2min", "s2nonmin", "t2", "t2window",
+                                    "fuzzy-sphere"])
+def test_the_document_path_makes_no_dense_matrix(family, monkeypatch):
+    def refuse(self, writeable=True):
+        raise AssertionError("a dense matrix was made")
+
+    monkeypatch.setattr(_Diags, "dense", refuse)
+    text = _build_text(family, 9)  # build, then emit_rep_json
+    loaded = load_rep_json(text)
+    report = verify_relations(loaded)
+    check_irreducible(loaded)
+    assert report.ok(1e-10 * 9)
+    assert emit_rep_json(loaded, report) == text
+
+
 # ------------------------------------------------------------ renderer
 
 
@@ -281,6 +299,24 @@ def _reference_matrix_rows(mat, sep):
         rows[r][c] = ("[" + jsontext._num_str(v.real) + sep
                       + jsontext._num_str(v.imag) + "]")
     return ["[" + sep.join(row) + "]" for row in rows]
+
+
+# pretty (at a document's matrix indent and at the top) and compact
+_LAYOUTS = ((", ", "    "), (", ", ""), (",", None))
+
+
+def _inputs(mat):
+    """mat as the renderer takes it: dense, and as diagonals if square."""
+    yield mat
+    if mat.shape[0] == mat.shape[1]:
+        yield _Diags.of(mat)
+
+
+def _assert_renders_as_reference(mat):
+    for sep, pad in _LAYOUTS:
+        want = jsontext._block("[", _reference_matrix_rows(mat, sep), "]", pad)
+        for given in _inputs(mat):
+            assert jsontext._matrix(given, pad) == want, (type(given), pad)
 
 
 _PARTS = (0.0, -0.0, 1.0, -3.0, 2.0**52, 5e-324, -2.2250738585072014e-308,
@@ -301,10 +337,7 @@ def test_matrix_rows_match_the_per_entry_renderer():
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 7), (7, 1), (5, 5), (12, 9)]
     for rows, cols in shapes:
         for density in (0.0, 0.1, 0.5, 1.0):
-            mat = _random_matrix(rng, rows, cols, density)
-            for sep in (", ", ","):
-                assert jsontext._matrix_rows(mat, sep) == \
-                    _reference_matrix_rows(mat, sep), (rows, cols, density)
+            _assert_renders_as_reference(_random_matrix(rng, rows, cols, density))
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,7 +347,7 @@ def test_matrix_rows_match_on_drawn_entries(entries):
     mat = np.zeros((6, 6), dtype=complex)
     for at, re_, im in entries:
         mat.flat[at] = complex(re_, im)
-    assert jsontext._matrix_rows(mat, ", ") == _reference_matrix_rows(mat, ", ")
+    _assert_renders_as_reference(mat)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -325,11 +358,13 @@ def test_non_finite_entries_give_the_same_error(bad, part):
     mat[1, 1] = {"real": complex(bad, 1.0), "imag": complex(1.0, bad),
                  "none": 2.0}[part]
     mat[2, 0] = complex(-math.inf, math.nan)  # reported only if first
-    with pytest.raises(DomainError) as want:
-        _reference_matrix_rows(mat, ", ")
-    with pytest.raises(DomainError) as got:
-        jsontext._matrix_rows(mat, ", ")
-    assert str(got.value) == str(want.value)
+    for sep, pad in _LAYOUTS:
+        with pytest.raises(DomainError) as want:
+            _reference_matrix_rows(mat, sep)
+        for given in _inputs(mat):
+            with pytest.raises(DomainError) as got:
+                jsontext._matrix(given, pad)
+            assert str(got.value) == str(want.value)
 
 
 QUOTED = ["", "u", "ap", "matrices", "a b\tc\n", 'say "hi"', "back\\slash",

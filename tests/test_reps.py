@@ -679,6 +679,19 @@ def test_irreducibility_block_diagonal_and_gap_edges():
         near = ReprMatrices(m.spec, u, m.ap, m.am)
         assert check_irreducible(near) is want
         assert _ref_irreducible(near) is want
+    # a chain cut at its first coupling, then at its last: the path
+    # 0-1-...-(n-1) is whole only if every coupling on it is
+    for at in (1, 8):
+        ap = m.ap.copy()
+        ap[at, at - 1] = 0.0
+        cut = ReprMatrices(m.spec, m.u, ap, ap.conj().T)
+        assert not check_irreducible(cut) and not _ref_irreducible(cut), at
+    # a cycle cut at one coupling stays connected through its wrap corner
+    cycle = _t2_cycle(3.0, 9, 1)
+    ap = cycle.ap.copy()
+    ap[5, 4] = 0.0
+    cut = ReprMatrices(cycle.spec, cycle.u, ap, ap.conj().T)
+    assert check_irreducible(cut) and _ref_irreducible(cut)
 
 
 # one residual entry point ----------------------------------------------------
