@@ -16,18 +16,18 @@ included as independent cross-checks of the scaffold.
 One constructor, ``_band``, fills that scaffold for every family from its
 eigen-angles, its coupling vector and an optional wrap corner.  Each spec
 family's existence rule is stated once, in ``spec_reason`` (R_eps from the
-region table); ``build(spec)`` applies it and makes all five (``build_s2``,
-``build_t2_*`` name it too), and ``verify_relations`` holds every relation
-table: the deformed relations, the fuzzy sphere's su(2) relations, or the
-Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices`` stores u, ap and
-am once, as nonzero diagonals (``_Diags``, the DIA format) that residuals,
-``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals), and that
-documents are rendered from and loaded into by flat position
-(``_Diags.entries`` and ``_Diags.at``), with no n x n array.  Dense input
-(a document that json.loads reads, an edited matrix) is read once, off-band
-entries included; ``.u``, ``.ap`` and ``.am`` are read-only dense copies.
-Products and norms sum in offset order and ``rep_evaluate`` in (r, s) key
-order, so no dict insertion order reaches a float.
+region table; ``_repeat`` for a window); ``build(spec)`` applies it and makes
+all five (``build_s2``, ``build_t2_*`` name it too), and ``verify_relations``
+holds every relation table: the deformed relations, the fuzzy sphere's su(2)
+relations, or the Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices``
+stores u, ap and am once, as nonzero diagonals (``_Diags``, the DIA format)
+that residuals, ``rep_evaluate`` and ``check_irreducible`` use in O(n *
+diagonals), and that documents are rendered from and loaded into by flat
+position (``_Diags.entries`` and ``_Diags.at``), with no n x n array.  Dense
+input (a document that json.loads reads, an edited matrix) is read once,
+off-band entries included; ``.u``, ``.ap`` and ``.am`` are read-only dense
+copies.  Products and norms sum in offset order and ``rep_evaluate`` in
+(r, s) key order, so no dict insertion order reaches a float.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .classify import (
 from .errors import InvalidSpec
 
 TWO_PI = 2.0 * math.pi
-IRREDUCIBLE_TOL = 1e-8  # closer winding eigenvalues make m reducible
+IRREDUCIBLE_TOL = 2.0 ** -43  # 512 ulps of 1: closer eigenvalues are equal
 
 
 def _wrap_half_open(x: float, lo: float, period: float = TWO_PI) -> float:
@@ -194,7 +194,8 @@ def _band(angles, couplings, corner: Optional[complex] = None):
 
 def spec_reason(spec: ReprSpec) -> str:
     """"" if build makes spec, else why not: each spec family's one rule, R_eps
-    from the region table.  A fuzzy sphere must be the spec its n fixes."""
+    from the region table, distinct eigenvalues for a window (``_repeat``, on
+    the ones build makes), and for a fuzzy sphere the spec its n fixes."""
     if spec.family in (Family.S2MIN, Family.S2NONMIN):
         if spec.n < 2:
             return f"sphere chain needs n >= 2, got {spec.n}"
@@ -210,13 +211,10 @@ def spec_reason(spec: ReprSpec) -> str:
         if not info.infinite_t2:
             return (f"window needs R >= sec(alpha/2) = {info.R_eps:.12g}, "
                     f"got R = {spec.R!r}")
-        turn = spec.alpha / TWO_PI
-        near = Fraction(turn).limit_denominator(64)
-        if abs(turn - float(near)) < 1e-12:
-            return (f"alpha = 2*pi*{near} is a rational angle; build the "
-                    f"finite torus")
-        return ""
-    # the fuzzy sphere
+        d = _repeat(np.exp(1j * (
+            spec.beta + np.arange(-spec.M, spec.M + 1) * spec.alpha)))
+        return (f"alpha = 2*pi*{Fraction(round(d * spec.alpha / TWO_PI), d)} "
+                "is a rational angle; build the finite torus" if d else "")
     return ("" if spec == _fuzzy_spec(spec.n) else
             f"a fuzzy sphere spec is the one n = {spec.n} fixes")
 
@@ -462,26 +460,28 @@ def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
     return acc.dense()
 
 
-def check_irreducible(m: ReprMatrices) -> bool:
-    """Distinct winding eigenvalues plus a connected ladder graph.
+def _repeat(z: np.ndarray) -> int:
+    """Index distance d > 0 of a pair of z's entries within IRREDUCIBLE_TOL,
+    or 0.  Sorted by the part across their sum, where a short arc spreads,
+    each meets its k-th successor while some pair k apart is close in it."""
+    key = z.imag if abs(z.real.sum()) > abs(z.imag.sum()) else z.real
+    order = np.argsort(key, kind="stable")
+    key, z = key[order], z[order]
+    for k in range(1, len(z)):
+        near = np.flatnonzero(key[k:] - key[:-k] <= IRREDUCIBLE_TOL)
+        hit = near[np.abs(z[near + k] - z[near]) <= IRREDUCIBLE_TOL]
+        if hit.size or not near.size:
+            return hit.size and abs(int(order[hit[0] + k] - order[hit[0]]))
+    return 0
 
-    Two eigenvalues of u's diagonal closer than IRREDUCIBLE_TOL make m
-    reducible; so does a ladder graph (an edge wherever |ap| + |ap|^T
-    exceeds 1e-12, on or off the band) with more than one component.
-    """
+
+def check_irreducible(m: ReprMatrices) -> bool:
+    """Distinct winding eigenvalues (``_repeat`` on u's diagonal) and a
+    connected ladder graph: an edge wherever |ap| + |ap|^T exceeds 1e-12."""
     u, ap, _ = m.diags
     n = u.n
-    diag = u.d.get(0, np.zeros(n, dtype=complex))
-    # a close pair is also close in its real parts: after sorting by them,
-    # compare each eigenvalue with its k-th successor while any such pair
-    # still lies within tol in the real part
-    d = diag[np.argsort(diag.real, kind="stable")]
-    for k in range(1, n):
-        near = d.real[k:] - d.real[:-k] <= IRREDUCIBLE_TOL
-        if not near.any():
-            break
-        if (np.abs(d[k:][near] - d[:-k][near]) <= IRREDUCIBLE_TOL).any():
-            return False
+    if _repeat(u.d.get(0, np.zeros(n, dtype=complex))):
+        return False
     mag = _Diags(n, {a: np.abs(v) for a, v in ap.d.items()})
     # edges (i, i+a) on each diagonal a of |ap| + |ap|^T
     edges = {a: v > 1e-12 for a, v in (mag + mag.H).d.items()}

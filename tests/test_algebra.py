@@ -455,3 +455,53 @@ def test_generator_names_come_from_one_table():
     ctx = _ctx()
     for name, terms in algebra.GENERATOR_TERMS.items():
         assert ctx.generator(name).terms == terms
+
+
+# identity and the operator protocol ------------------------------------------
+
+
+def test_context_repr_equality_and_hash():
+    a, b = _ctx(Fraction(5, 8)), _ctx(Fraction(5, 8))
+    assert repr(a) == "AlgebraContext(R=5/8)"
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _ctx(Fraction(1, 2)) and a != "AlgebraContext(R=5/8)"
+    assert len({a, b, _ctx(Fraction(1, 2))}) == 2
+
+
+def test_normal_form_defers_to_operands_it_cannot_coerce():
+    # a float or a foreign object is no exact scalar: each operator returns
+    # NotImplemented, so Python raises TypeError in both operand orders
+    x = _ctx().generator("x")
+    for other in (0.5, object()):
+        for method in ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__"):
+            assert getattr(x, method)(other) is NotImplemented, method
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        assert x.__eq__(other) is NotImplemented
+        assert x != other
+
+
+def test_normal_form_reflected_subtraction_and_scalar_equality():
+    ctx = _ctx(Fraction(5, 8))
+    x = ctx.generator("x")
+    for c in (1, Fraction(-3, 2), CRat(Fraction(1), Fraction(2))):
+        assert c - x == -(x - c) == ctx.scalar(c) - x
+    # a scalar compares as the constant form it coerces to
+    assert ctx.one() == 1 and ctx.scalar(Fraction(5, 8)) == Fraction(5, 8)
+    assert x * 0 == 0 and x != 0 and ctx.one() != 2
+    assert ctx.scalar(CR_I) == CR_I and ctx.scalar(ES_EPS) == ES_EPS
+
+
+def test_normal_form_and_commutative_poly_hash_with_equality():
+    ctx = _ctx(Fraction(5, 8))
+    x, y = ctx.generator("x"), ctx.generator("y")
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    assert len({x, x * 1, y, _ctx(Fraction(0)).generator("x")}) == 3
+    p, q = (x * y).pi(), (y * x).pi()
+    assert p == q and hash(p) == hash(q) and len({p, q, x.pi()}) == 2
+    assert p.__eq__(x) is NotImplemented and p != x and p != "p"

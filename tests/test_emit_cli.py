@@ -583,9 +583,12 @@ def test_cli_verify_s2min_family_matches_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("R, n", [("-0.999999", "4096"),
                                   ("-0.9999999", "1024"),
-                                  ("-0.99999999", "64")])
+                                  ("-0.99999999", "64"),
+                                  ("-0.9999999999953018", "945")])
 def test_cli_verify_s2min_near_minus_one(R, n, capsys):
-    # the first interior |C|^2 is about 1e-9 here, and scales with 1 + R
+    # the first interior |C|^2 is about 1e-9 here, and scales with 1 + R;
+    # at the last, alpha = 6.5e-9 steps the eigenvalues far wider than
+    # IRREDUCIBLE_TOL, and an absolute 1e-8 called them equal
     assert cli.main(["verify", "s2min", "--R", R, "--n", n]) == 0
     out = capsys.readouterr()
     assert out.err == ""
@@ -637,6 +640,40 @@ def test_no_minimal_chain_where_the_region_table_lists_none(command):
     assert "error" in json.loads(proc.stderr)
     # farther below sec(pi/3) the chain exists
     proc = _spheretorus(command.split() + ["--R", "1.9999", "--n", "3"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_cli_window_refuses_a_rational_angle_of_any_denominator(capsys):
+    # 2*pi/65 at n = 131 repeats each point m at m + 65; a cap of 64 on the
+    # denominator admitted it, and verify then read it reducible
+    argv = ["verify", "t2window", "--R", "1.5", "--n", "131",
+            "--alpha", "0.0966643893412244"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "alpha = 2*pi*1/65 is a rational angle; build the finite "
+                 "torus"}
+
+
+def test_verify_file_loads_only_what_a_builder_would_make(tmp_path):
+    # a window file with alpha and eps edited together to 2*pi/6: the
+    # window's own rule refuses it; a fuzzy-sphere file verifies
+    window, fuzzy = tmp_path / "w.json", tmp_path / "f.json"
+    proc = _spheretorus(["build", "t2window", "--R", "1.5", "--n", "9",
+                         "--alpha", "0.9", "--out", str(window)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(window.read_text())
+    doc.update(alpha=2 * math.pi / 6, eps=math.tan(math.pi / 6))
+    window.write_text(json.dumps(doc))
+    proc = _spheretorus(["verify", str(window)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error" in json.loads(proc.stderr)
+    proc = _spheretorus(["build", "fuzzy-sphere", "--n", "9",
+                         "--out", str(fuzzy)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = _spheretorus(["verify", str(fuzzy)])
     assert (proc.returncode, proc.stderr) == (0, "")
 
 

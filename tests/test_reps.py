@@ -44,6 +44,7 @@ from spheretorus.reps import (
     nc_torus_reason,
     nc_torus_residuals,
     rep_evaluate,
+    spec_reason,
     split_xyzw,
     verify_relations,
 )
@@ -183,12 +184,6 @@ def test_every_solved_minimal_chain_builds(end):
         if not check_irreducible(m):
             reducible.append((R, n, rec.alpha))
     assert solved > (110 if end == "lowest" else 250)
-    # a known fault: check_irreducible calls eigenvalues within the absolute
-    # IRREDUCIBLE_TOL equal, so a chain whose step alpha is no larger reads
-    # reducible.  Only such chains may fail, and then the case is an xfail
-    if reducible and all(alpha <= IRREDUCIBLE_TOL for *_, alpha in reducible):
-        pytest.xfail(f"{len(reducible)} chains with alpha <= IRREDUCIBLE_TOL "
-                     "read reducible")
     assert not reducible, reducible
 
 
@@ -295,6 +290,37 @@ def test_window_build_validation():
         with pytest.raises(InvalidSpec, match=rf"^window dimension must be "
                            rf"odd and >= 3, got {shown}$"):
             ReprSpec(Family.T2WINDOW, 2.0, n, 9.0, math.pi, M=M)
+
+
+def test_a_window_is_refused_where_its_points_repeat():
+    # one distinctness rule: a window whose own points repeat is refused,
+    # naming alpha's p/q, and every window the rule admits builds and reads
+    # irreducible.  A rule that caps q (at 64, say) admits 2*pi*p/q with a
+    # larger q < n, which then reads reducible
+    rng = random.Random(5)
+    admitted = refused = 0
+    for draw in range(600):
+        n = rng.randrange(5 if draw % 2 else 3, 402, 2)
+        if draw % 2:
+            q = rng.randrange(3, n)
+            p = rng.choice([p for p in range(1, (q + 1) // 2)
+                            if math.gcd(p, q) == 1])
+            alpha = TWO_PI * p / q
+        else:
+            alpha = rng.uniform(0.001, math.pi - 0.001)
+        R = 1 / math.cos(0.5 * alpha) + rng.uniform(0.05, 2.0)
+        spec = ReprSpec(Family.T2WINDOW, R, n, alpha,
+                        rng.uniform(-math.pi, math.pi))
+        reason = spec_reason(spec)
+        if reason:
+            refused += 1
+            assert draw % 2 and reason == (
+                f"alpha = 2*pi*{p}/{q} is a rational angle; build the "
+                "finite torus"), (n, alpha, reason)
+        else:
+            admitted += 1
+            assert check_irreducible(build_t2_window(spec)), (n, alpha)
+    assert admitted > 250 and refused > 250, (admitted, refused)
 
 
 def test_representation_respects_adjoints():
@@ -468,7 +494,7 @@ def _ref_nc_torus(n, k, beta, nu):
     return u, v
 
 
-def _ref_irreducible(m, tol=1e-8):
+def _ref_irreducible(m, tol=IRREDUCIBLE_TOL):
     diag = np.diag(m.u)
     n = len(diag)
     for i in range(n):
@@ -645,7 +671,7 @@ def _ladders(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         i, j = draw(index), draw(index)
         if i != j:
-            gap = draw(st.sampled_from(_GAPS)) * 1e-8
+            gap = draw(st.sampled_from(_GAPS)) * IRREDUCIBLE_TOL
             diag[j] = diag[i] + gap * cmath.exp(1j * draw(st.floats(0.0, TWO_PI)))
     ap = np.zeros((n, n), dtype=complex)
     cuts = draw(st.sets(st.integers(min_value=1, max_value=max(1, n - 1))))
@@ -673,7 +699,8 @@ def test_irreducibility_block_diagonal_and_gap_edges():
     ap[0, 8] = 1e-3  # an off-band entry joins them again
     joined = ReprMatrices(m.spec, m.u, ap, ap.conj().T)
     assert check_irreducible(joined) and _ref_irreducible(joined)
-    for gap, want in ((0.99e-8, False), (1.01e-8, True)):
+    for gap, want in ((0.99 * IRREDUCIBLE_TOL, False),
+                      (1.01 * IRREDUCIBLE_TOL, True)):
         u = m.u.copy()
         u[3, 3] = u[7, 7] + gap
         near = ReprMatrices(m.spec, u, m.ap, m.am)
