@@ -5,8 +5,12 @@ emit is byte-identical and loaded matrices reproduce residuals exactly.
 One renderer, ``jsontext``, writes both the pretty and the compact JSON;
 this module re-exports ``render_json`` and ``render_json_compact``.
 Representation documents hold their matrices as diagonals (``reps._Diags``;
-a clock/shift pair's as complex ndarrays), and ``load_rep_json`` reads its
-own text back into diagonals from the nonzero entries, with no n x n array.
+a clock/shift pair's as complex ndarrays).  ``load_rep_json`` loads a
+document that build wrote from its spec's band: it builds the spec its
+header names, renders that band one matrix at a time and compares the text
+byte for byte.  Any other text is read by the scan, which parses the
+nonzero entries of this module's layout straight into diagonals, or else by
+json.loads.  Neither path makes an n x n array.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .reps import (
     ReprMatrices,
     ReprSpec,
     ResidualReport,
+    build,
     nc_torus_reason,
     nc_torus_residuals,
     spec_reason,
@@ -135,17 +140,11 @@ _NUM = r"(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?)"
 _ENTRY = re.compile(rf"\[(?!0, 0\]){_NUM}, {_NUM}\]")
 
 
-def _band_doc(text: str) -> Optional[dict]:
-    """json.loads(text) with each matrix a ``_Diags`` filled from its entries
-    other than [0, 0]; None unless text has render_json's layout.
-
-    The header is parsed with the matrices value cut to {}, which with no
-    backslash and one '"matrices"' is the top-level value.  The block must
-    render itself, matrix by matrix: "{" or "," and the quoted name before
-    each value, and each value with its entries put back to [0, 0] a zero
-    matrix; each number is written as render_json writes it (finite, never
-    -0).
-    """
+def _header(text: str) -> Optional[tuple]:
+    """(doc, start, end): json.loads(text) with the matrices value,
+    text[start:end], cut to {}; None unless text has render_json's layout
+    there and an n that fits.  With no backslash and one '"matrices"' left,
+    and that key on a line of its own, the {} is the top-level value."""
     start = text.find(_MATRICES) + len(_MATRICES)
     end = text.find("\n  }", start) + 4
     head = text[:start] + "{}" + text[end:]
@@ -158,6 +157,34 @@ def _band_doc(text: str) -> Optional[dict]:
     n = doc.get("n") if isinstance(doc, dict) and doc.get("matrices") == {} else 0
     if type(n) is not int or not 0 < 8 * n * n <= end - start:
         return None  # an n x n block takes 8 n^2 characters or more
+    return doc, start, end
+
+
+def _spec_band(text: str, start: int, end: int, m: ReprMatrices) -> Optional[dict]:
+    """m's matrices as ``_scan`` reads them, if text[start:end] is byte for
+    byte their render_json text; rendered and compared one at a time."""
+    mats, at = {}, start
+    for name, d in zip(("u", "ap", "am"), m.diags):
+        key = ("," if mats else "{") + "\n    " + _quote(name) + ": "
+        # the diagonals the scan fills: ascending, each with a nonzero entry,
+        # no -0.0 part (d is zero off the matrix, as every _Diags is)
+        d = _Diags(d.n, {a: v + 0.0 for a, v in sorted(d.d.items()) if v.any()})
+        rendered = _matrix(d, "    ")
+        if not (text.startswith(key, at) and
+                text.startswith(rendered, at + len(key))):
+            return None
+        mats[name], at = d, at + len(key) + len(rendered)
+        del rendered  # before the next render: one matrix's text at a time
+    return mats if at == end - 4 else None
+
+
+def _scan(text: str, doc: dict, start: int, end: int) -> Optional[dict]:
+    """The matrices of text[start:end], each a ``_Diags`` filled from its
+    entries other than [0, 0]; None unless the block renders itself, matrix
+    by matrix: "{" or "," and the quoted name before each value, and each
+    value with its entries put back to [0, 0] a zero matrix; each number is
+    written as render_json writes it (finite, never -0)."""
+    n = doc["n"]
     keys = list(_KEY.finditer(text, start, end))
     stops = [key.start() - 1 for key in keys[1:]] + [end - 4]  # value ends
     zeros = _matrix(_Diags(n, {}), "    ")  # an n x n zero matrix's text
@@ -179,10 +206,41 @@ def _band_doc(text: str) -> Optional[dict]:
         mats[name] = _Diags.at(n, np.fromiter(index, np.intp)[1:],
                                np.array(parts).view(complex))
         at = stop
+    return mats or None
+
+
+def _band_doc(text: str) -> Optional[dict]:
+    """json.loads(text) with each matrix a ``_Diags`` that ``_scan`` reads;
+    None unless text has render_json's layout."""
+    head = _header(text)
+    mats = head and _scan(text, *head)
     if not mats:
         return None
-    doc["matrices"] = mats
-    return doc
+    head[0]["matrices"] = mats
+    return head[0]
+
+
+def _fields(doc: dict) -> tuple:
+    """(n, nu, spec) of a document, spec None for a clock/shift pair; a
+    missing, mistyped or refused field raises InvalidSpec."""
+    family = doc.get("family")
+    try:
+        fam = Family(family)
+    except ValueError:
+        raise InvalidSpec(f"unknown representation family {_head(family)}") from None
+    n = int(_field(doc, "n", kinds="i"))
+    nu = complex(*_field(doc, "nu", (2,)).tolist())
+    if fam == Family.NC_TORUS:
+        return n, nu, None
+    return n, nu, ReprSpec(
+        family=fam,
+        R=float(_field(doc, "R")),
+        n=n,
+        alpha=float(_field(doc, "alpha")),
+        beta_prime=float(_field(doc, "beta_prime")),
+        k=None if doc.get("k") is None else int(_field(doc, "k", kinds="i")),
+        nu=nu,
+    )
 
 
 def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
@@ -192,51 +250,57 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     and non-finite numbers raise InvalidSpec; then, on the scalars alone, so
     does a document that its builder refuses: a spec failing
     reps.spec_reason, an alpha, beta or eps other than the spec's, or a
-    clock/shift pair failing reps.nc_torus_reason.  Entries off the band
-    load as they are, for verify to report; _band_doc reads this module's
-    own text as json.loads would, straight into diagonals, and any other
-    text goes through json.loads and dense arrays.  A clock/shift pair's u
-    and v are dense either way.
+    clock/shift pair failing reps.nc_torus_reason.
+
+    A document that build wrote loads from its spec's band: the header is
+    parsed once, build makes its spec's band, and each matrix's text is
+    compared byte for byte with that band's render, one matrix at a time.
+    Any other text is read by the scan, ``_scan``, which reads this module's
+    layout as json.loads would, straight into diagonals, or else through
+    json.loads and dense arrays; entries off the band load as they are, for
+    verify to report.  spec_reason runs once, inside build, unless
+    json.loads must read a text whose header the band path parsed.  A
+    clock/shift pair's u and v are dense either way.
     """
-    try:
-        doc = isinstance(text, str) and _band_doc(text) or json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidSpec(f"not a JSON document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidSpec("a representation document is a JSON object")
-    family = doc.get("family")
-    try:
-        fam = Family(family)
-    except ValueError:
-        raise InvalidSpec(f"unknown representation family {_head(family)}") from None
-    n = int(_field(doc, "n", kinds="i"))
+    head = _header(text) if isinstance(text, str) else None
+    known = reason = mats = None  # known: (n, nu, spec) read off the header
+    if head is not None:
+        doc, start, end = head
+        try:
+            known = _fields(doc)
+            band, reason = known[2] and build(known[2]), ""
+        except InvalidSpec as exc:  # build's reason is spec_reason's
+            band, reason = None, str(exc) if known else None
+        mats = band and _spec_band(text, start, end, band) or _scan(text, *head)
+    if mats:
+        doc["matrices"] = mats
+    else:
+        known = reason = None  # json.loads may read other fields
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidSpec(f"not a JSON document: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InvalidSpec("a representation document is a JSON object")
+    n, nu, spec = known or _fields(doc)
     mats = doc["matrices"] if isinstance(doc.get("matrices"), dict) else {}
 
     def matrix(name: str) -> Union[_Diags, np.ndarray]:
-        if type(mats.get(name)) is _Diags:  # read from the band
+        if type(mats.get(name)) is _Diags:  # read from the band or the scan
             return mats[name]
         arr = _field(mats, name, (n, n, 2)).astype(float, copy=False)
         return arr.view(complex)[..., 0]
 
-    nu = complex(*_field(doc, "nu", (2,)).tolist())
-    if fam == Family.NC_TORUS:
+    if spec is None:
         k = int(_field(doc, "k", kinds="i"))
         u, v = (x if isinstance(x, np.ndarray) else x.dense()
                 for x in (matrix("u"), matrix("v")))
         loaded = NcTorusPair(n, k, float(_field(doc, "beta")), nu, u, v)
         reason = nc_torus_reason(n, k, nu)
     else:
-        spec = ReprSpec(
-            family=fam,
-            R=float(_field(doc, "R")),
-            n=n,
-            alpha=float(_field(doc, "alpha")),
-            beta_prime=float(_field(doc, "beta_prime")),
-            k=None if doc.get("k") is None else int(_field(doc, "k", kinds="i")),
-            nu=nu,
-        )
         loaded = ReprMatrices(spec, matrix("u"), matrix("ap"), matrix("am"))
-        reason = spec_reason(spec)
+        if reason is None:
+            reason = spec_reason(spec)
         # the fields derived from the spec must be the ones build writes
         for name in ("alpha", "beta", "eps"):
             got, want = float(_field(doc, name)), getattr(spec, name)

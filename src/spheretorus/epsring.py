@@ -292,6 +292,8 @@ class EpsScalar:
 
     def __add__(self, other) -> "EpsScalar":
         if type(other) is not EpsScalar:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
             other = EpsScalar.of(other)
         x, y = self._c, other._c
         if not x:
@@ -316,9 +318,13 @@ class EpsScalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "EpsScalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return self + (-EpsScalar.of(other))
 
     def __rsub__(self, other) -> "EpsScalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return EpsScalar.of(other) + (-self)
 
     def __neg__(self) -> "EpsScalar":
@@ -327,6 +333,8 @@ class EpsScalar:
 
     def __mul__(self, other) -> "EpsScalar":
         if type(other) is not EpsScalar:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
             other = EpsScalar.of(other)
         a, b = self._c, other._c
         if not a or not b:
@@ -465,6 +473,9 @@ def _new(c: tuple, d: int, a: int, b: int) -> EpsScalar:
     return out
 
 
+# what EpsScalar arithmetic takes as the other operand; for anything else it
+# returns NotImplemented, so that Python tries the operand's reflected method
+_OPERANDS = (EpsScalar, int, Fraction, CRat)
 ES_ZERO = _new((), 1, 0, 0)  # the constructor returns it for a zero numerator
 ES_ONE = EpsScalar((CR_ONE,))
 ES_EPS = EpsScalar((CR_ZERO, CR_ONE))

@@ -489,8 +489,14 @@ def test_normal_form_defers_to_operands_it_cannot_coerce():
 def test_normal_form_reflected_subtraction_and_scalar_equality():
     ctx = _ctx(Fraction(5, 8))
     x = ctx.generator("x")
-    for c in (1, Fraction(-3, 2), CRat(Fraction(1), Fraction(2))):
+    # an EpsScalar on the left defers to the NormalForm's reflected method
+    for c in (1, Fraction(-3, 2), CRat(Fraction(1), Fraction(2)), ES_EPS):
         assert c - x == -(x - c) == ctx.scalar(c) - x
+        assert c + x == x + c and c * x == x * c
+    # a float is no exact scalar on either side of an EpsScalar
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                   "__rmul__"):
+        assert getattr(ES_EPS, method)(0.5) is NotImplemented, method
     # a scalar compares as the constant form it coerces to
     assert ctx.one() == 1 and ctx.scalar(Fraction(5, 8)) == Fraction(5, 8)
     assert x * 0 == 0 and x != 0 and ctx.one() != 2

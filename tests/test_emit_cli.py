@@ -677,6 +677,25 @@ def test_verify_file_loads_only_what_a_builder_would_make(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+@pytest.mark.parametrize("argv", [
+    "slice --R 0.5 --format json",
+    "enum-s2 --R 1.5 --n 11 --format text",
+    "sweep --n 5 --R=0.8:2.2:4 --format json",
+], ids=["slice-json", "enum-text", "sweep-json"])
+def test_out_writes_the_bytes_stdout_shows(argv, tmp_path):
+    # the file holds what stdout shows without --out, and stdout then holds
+    # one line, the JSON receipt naming the file
+    path = str(tmp_path / "file.txt")
+    shown = _spheretorus(argv.split())
+    receipt = _spheretorus(argv.split() + ["--out", path])
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert (receipt.returncode, receipt.stderr) == (0, "")
+    with open(path, "rb") as fh:
+        assert fh.read() == shown.stdout.encode()
+    assert receipt.stdout.count("\n") == 1
+    assert json.loads(receipt.stdout) == {"out": path}
+
+
 def test_verify_file_through_both_loaders(tmp_path):
     # the file build writes is read from its band, the re-indented one by
     # json.loads; verify prints the same report for both

@@ -305,3 +305,10 @@ def test_ndarray_render_rejects_non_finite(bad, part):
     for render in (render_json, render_json_compact):
         with pytest.raises(ValueError):
             render({"m": mat})
+
+
+def test_render_refuses_a_value_json_has_no_form_for():
+    for bad in ({1}, b"x", 1j, object()):
+        for render in (render_json, render_json_compact):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                render({"v": [bad]})

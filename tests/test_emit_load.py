@@ -1,11 +1,13 @@
-"""The two readers of a representation document, and the renderer they share.
+"""The readers of a representation document, and the renderer they share.
 
-``load_rep_json`` reads a text that is exactly what ``render_json`` writes
-from its entries other than [0, 0] (``emit._band_doc``), and any other text
-through ``json.loads``.  The differential test below mutates canonical
-documents of all six families and asks both readers for the same arrays,
-spec and error message: the reference text ``json.dumps(json.loads(text))``
-is never canonical, so it always takes the json path.
+``load_rep_json`` loads a text that is byte for byte its spec's band, as
+``build`` makes it, from that band (``emit._spec_band``); it reads any
+other text in ``render_json``'s layout from its entries other than [0, 0]
+(``emit._band_doc``), and the rest through ``json.loads``.  The
+differential test below mutates canonical documents of all six families
+and asks the readers for the same arrays, spec and error message: the
+reference text ``json.dumps(json.loads(text))`` is never canonical, so it
+always takes the json path.
 """
 
 import json
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheretorus import emit, jsontext
+from spheretorus import cli, emit, jsontext, reps
 from spheretorus.classify import (
     enumerate_s2_nonminimal,
     solve_minimal_s2,
@@ -37,6 +39,7 @@ from spheretorus.reps import (
     build_t2_finite,
     build_t2_window,
     check_irreducible,
+    spec_reason,
     verify_relations,
     _Diags,
 )
@@ -283,6 +286,96 @@ def test_the_document_path_makes_no_dense_matrix(family, monkeypatch):
     check_irreducible(loaded)
     assert report.ok(1e-10 * 9)
     assert emit_rep_json(loaded, report) == text
+
+
+@pytest.mark.parametrize("family,n", [(family, n) for family, n in DOCUMENTS
+                                      if family != "nc-torus"])
+def test_a_built_document_loads_from_its_spec_band(family, n, monkeypatch):
+    # build's text is its spec's band byte for byte: it loads with the scan
+    # refused, bit for bit as the scan reads it
+    text = _text(family, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(emit, "_spec_band", lambda *args: None)
+        scanned = _fingerprint(load_rep_json(text))
+
+    def refuse(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(emit, "_scan", refuse)
+    assert _fingerprint(load_rep_json(text)) == scanned
+
+
+def _one_ulp(text):
+    """The first coupling moved up by one ulp, in am and ap alike."""
+    doc = json.loads(text)
+    am, ap = doc["matrices"]["am"], doc["matrices"]["ap"]
+    am[0][1][0] = ap[1][0][0] = math.nextafter(am[0][1][0], math.inf)
+    return emit.render_json(doc)
+
+
+def _edited(text, **fields):
+    doc = json.loads(text)
+    doc.update(fields)
+    return emit.render_json(doc)
+
+
+OTHER_DOCUMENTS = {
+    # in build's layout, so the scan reads them
+    "one-ulp coupling": lambda: _one_ulp(_text("s2min", 9)),
+    "off-band entry": lambda: MUTATIONS["off-band entry"](_text("s2min", 9),
+                                                          random.Random(0)),
+    "nc-torus": lambda: _text("nc-torus", 9),
+    "refused spec": lambda: _edited(_text("s2min", 9), beta_prime=0),
+    # each matrix is the band's, but json.loads finds no "u"
+    "renamed matrix": lambda: _text("s2min", 9).replace(
+        '\n    "u": [', '\n    "v": [', 1),
+    # each matrix is the band's, but the text is no JSON document
+    "text after the matrices": lambda: _text("s2min", 9).replace(
+        '\n  },\n  "residuals"', ',\n    "w": [1\n  },\n  "residuals"', 1),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_DOCUMENTS)
+def test_a_document_that_is_not_its_spec_band_takes_the_scan(name, monkeypatch):
+    text = OTHER_DOCUMENTS[name]()
+    want = _reference(text)  # its own values, or the json path's error
+    scan, scans, asked = emit._scan, [], []
+
+    def spy(*args):
+        scans.append(scan(*args))
+        return scans[-1]
+
+    def reason(spec):
+        asked.append(spec)
+        return spec_reason(spec)
+
+    monkeypatch.setattr(emit, "_scan", spy)
+    monkeypatch.setattr(emit, "spec_reason", reason)
+    monkeypatch.setattr(reps, "spec_reason", reason)
+    assert _outcome(text) == want
+    assert len(scans) == 1, "the band path refused the text"
+    if name == "text after the matrices":
+        assert scans[0] is None  # json.loads reads it
+    else:  # the scan reads it, and spec_reason runs once, inside build
+        assert scans[0] is not None
+        assert len(asked) == (name != "nc-torus")
+    assert want != _outcome(_text("s2min", 9))
+
+
+def test_verify_reports_a_one_ulp_file_s_own_residuals(tmp_path, capsys):
+    # the file differs from its spec's band in one coupling's last bit:
+    # verify reports what the file holds, as through json.loads, not the band
+    text = _text("s2min", 9)
+    paths = [tmp_path / name
+             for name in ("band.json", "ulp.json", "ulp-indented.json")]
+    paths[0].write_text(text)
+    paths[1].write_text(_one_ulp(text))
+    paths[2].write_text(json.dumps(json.loads(_one_ulp(text)), indent=1))
+    outs = []
+    for path in paths:
+        assert cli.main(["verify", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[2] != outs[0]
 
 
 # ------------------------------------------------------------ renderer

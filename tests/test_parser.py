@@ -130,6 +130,8 @@ def test_error_message_carries_position():
 def test_parse_then_fold_equals_parse_expr(ctx):
     src = "ap^2*u - 3*[x,w] + 0.25*eps"
     assert fold(parse(src), ctx) == parse_expr(src, ctx)
+    with pytest.raises(TypeError, match="not an expression node"):
+        fold(_tokenize("u")[0], ctx)
 
 
 def test_r_literal_matches_context():
@@ -232,3 +234,5 @@ def test_syntax_tree_nodes_compare_by_value():
     assert tree != parse("[x, 2]' - y^3")
     assert repr(parse("-x")) == "Neg(arg=Name(id='x', pos=1), pos=0)"
     assert repr(_tokenize("u")[0]) == "Token(kind='NAME', text='u', pos=0)"
+    # a node of another type is not equal, whatever its fields
+    assert tree.__eq__(_tokenize("u")[0]) is NotImplemented and tree != "x"

@@ -77,6 +77,9 @@ def test_coupling_formula():
         math.sqrt(2.0), rel=1e-15)
     assert c_squared(math.pi, 1.0, 0.5) == pytest.approx(
         1.0 - 1.0 / math.cos(0.25), rel=1e-14)
+    for alpha in (0.0, math.pi, math.nan):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            c_squared(0.0, 0.5, alpha)
 
 
 def test_two_site_chain_entry_is_fourth_root_of_two():
