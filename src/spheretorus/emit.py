@@ -5,12 +5,12 @@ emit is byte-identical and loaded matrices reproduce residuals exactly.
 One renderer, ``jsontext``, writes both the pretty and the compact JSON;
 this module re-exports ``render_json`` and ``render_json_compact``.
 Representation documents hold their matrices as diagonals (``reps._Diags``;
-a clock/shift pair's as complex ndarrays).  ``load_rep_json`` loads a
-document that build wrote from its spec's band: it builds the spec its
-header names, renders that band one matrix at a time and compares the text
-byte for byte.  Any other text is read by the scan, which parses the
-nonzero entries of this module's layout straight into diagonals, or else by
-json.loads.  Neither path makes an n x n array.
+a clock/shift pair's as complex ndarrays).  ``load_rep_json`` reads a text
+in this module's layout in one pass over its matrices: it builds the spec
+its header names, and a matrix whose text is byte for byte that band's
+render loads as the band, while any other has its nonzero entries parsed
+straight into diagonals.  Any other text is read by json.loads.  Neither
+path makes an n x n array.
 """
 
 from __future__ import annotations
@@ -160,64 +160,49 @@ def _header(text: str) -> Optional[tuple]:
     return doc, start, end
 
 
-def _spec_band(text: str, start: int, end: int, m: ReprMatrices) -> Optional[dict]:
-    """m's matrices as ``_scan`` reads them, if text[start:end] is byte for
-    byte their render_json text; rendered and compared one at a time."""
-    mats, at = {}, start
-    for name, d in zip(("u", "ap", "am"), m.diags):
-        key = ("," if mats else "{") + "\n    " + _quote(name) + ": "
-        # the diagonals the scan fills: ascending, each with a nonzero entry,
-        # no -0.0 part (d is zero off the matrix, as every _Diags is)
-        d = _Diags(d.n, {a: v + 0.0 for a, v in sorted(d.d.items()) if v.any()})
-        rendered = _matrix(d, "    ")
-        if not (text.startswith(key, at) and
-                text.startswith(rendered, at + len(key))):
+def _read_matrices(text: str, doc: dict, start: int, end: int,
+                   band: dict) -> Optional[dict]:
+    """The matrices of text[start:end], each a ``_Diags``, read one
+    "name": value at a time; None unless the block renders itself: "{" or
+    "," and the quoted name before each value, and the block's end after
+    the last.  A value that is byte for byte the render of band[name] is
+    that band matrix, as the entries read it: ascending offsets, each with
+    a nonzero entry, no -0.0 part.  Any other value is filled from its
+    entries other than [0, 0], and must be a zero matrix with those entries
+    put back to [0, 0], each number written as render_json writes it
+    (finite, never -0)."""
+    n, mats, at, zeros = doc["n"], {}, start, None
+    while at < end - 4:  # a value never runs past the block's "\n  }"
+        key = _KEY.match(text, at + 1, end)
+        if not key or text[at:key.end() - 2] != (
+                ("," if mats else "{") + "\n    " + _quote(key[1]) + ": "):
             return None
-        mats[name], at = d, at + len(key) + len(rendered)
-        del rendered  # before the next render: one matrix's text at a time
-    return mats if at == end - 4 else None
-
-
-def _scan(text: str, doc: dict, start: int, end: int) -> Optional[dict]:
-    """The matrices of text[start:end], each a ``_Diags`` filled from its
-    entries other than [0, 0]; None unless the block renders itself, matrix
-    by matrix: "{" or "," and the quoted name before each value, and each
-    value with its entries put back to [0, 0] a zero matrix; each number is
-    written as render_json writes it (finite, never -0)."""
-    n = doc["n"]
-    keys = list(_KEY.finditer(text, start, end))
-    stops = [key.start() - 1 for key in keys[1:]] + [end - 4]  # value ends
-    zeros = _matrix(_Diags(n, {}), "    ")  # an n x n zero matrix's text
-    mats, at = {}, start
-    for key, stop in zip(keys, stops):
-        name, value = key[1], key.end() - 2
-        if text[at:value] != ("," if mats else "{") + "\n    " + _quote(name) + ": ":
-            return None
-        pieces = _ENTRY.split(text[value:stop])  # gap, re, im, ..., gap
-        if "-0" in pieces or "[0, 0]".join(pieces[::3]) != zeros:
-            return None  # not a zero matrix around the entries, or a -0
-        # an entry's flat position counts the [0, 0] and entries before it
-        index = accumulate([g.count("[0, 0]") + 1 for g in pieces[:-1:3]],
-                           initial=-1)
-        del pieces[::3]  # re and im of each entry in turn
-        parts = list(map(float, pieces))
-        if ",".join(pieces) != ("%.17g," * len(parts))[:-1] % tuple(parts):
-            return None
-        mats[name] = _Diags.at(n, np.fromiter(index, np.intp)[1:],
-                               np.array(parts).view(complex))
-        at = stop
-    return mats or None
-
-
-def _band_doc(text: str) -> Optional[dict]:
-    """json.loads(text) with each matrix a ``_Diags`` that ``_scan`` reads;
-    None unless text has render_json's layout."""
-    head = _header(text)
-    mats = head and _scan(text, *head)
-    if not mats:
-        return None
-    head[0]["matrices"] = mats
-    return head[0]
+        name, value, stop = key[1], key.end() - 2, None
+        if name in band:
+            d = band[name]  # zero off the matrix, as every _Diags is
+            d = _Diags(n, {a: v + 0.0 for a, v in sorted(d.d.items()) if v.any()})
+            rendered = _matrix(d, "    ")
+            if text.startswith(rendered, value):
+                stop = value + len(rendered)
+            del rendered  # before the next render: one matrix's text at a time
+        if stop is None:
+            after = _KEY.search(text, value + 2, end)
+            stop = after.start() - 1 if after else end - 4
+            zeros = zeros or _matrix(_Diags(n, {}), "    ")
+            pieces = _ENTRY.split(text[value:stop])  # gap, re, im, ..., gap
+            if "-0" in pieces or "[0, 0]".join(pieces[::3]) != zeros:
+                return None  # not a zero matrix around the entries, or a -0
+            # an entry's flat position counts the [0, 0] and entries before it
+            index = accumulate([g.count("[0, 0]") + 1 for g in pieces[:-1:3]],
+                               initial=-1)
+            del pieces[::3]  # re and im of each entry in turn
+            parts = list(map(float, pieces))
+            if ",".join(pieces) != ("%.17g," * len(parts))[:-1] % tuple(parts):
+                return None
+            d = _Diags.at(n, np.fromiter(index, np.intp)[1:],
+                          np.array(parts).view(complex))
+        mats[name], at = d, stop
+    return mats
 
 
 def _fields(doc: dict) -> tuple:
@@ -252,26 +237,27 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     reps.spec_reason, an alpha, beta or eps other than the spec's, or a
     clock/shift pair failing reps.nc_torus_reason.
 
-    A document that build wrote loads from its spec's band: the header is
-    parsed once, build makes its spec's band, and each matrix's text is
-    compared byte for byte with that band's render, one matrix at a time.
-    Any other text is read by the scan, ``_scan``, which reads this module's
-    layout as json.loads would, straight into diagonals, or else through
-    json.loads and dense arrays; entries off the band load as they are, for
-    verify to report.  spec_reason runs once, inside build, unless
-    json.loads must read a text whose header the band path parsed.  A
-    clock/shift pair's u and v are dense either way.
+    A text in this module's layout is read in one pass, ``_read_matrices``:
+    the header is parsed once, build makes its spec's band, and each
+    matrix whose text is byte for byte that band's render loads as the
+    band; any other matrix, every one of a clock/shift pair's among them,
+    is read from its entries other than [0, 0] as json.loads would read
+    it, straight into diagonals.  Any other text goes through json.loads
+    and dense arrays.  Entries off the band load as they are, for verify
+    to report.  spec_reason runs once, inside build, unless json.loads must
+    read a text whose header was parsed.  A clock/shift pair's u and v are
+    dense either way.
     """
     head = _header(text) if isinstance(text, str) else None
     known = reason = mats = None  # known: (n, nu, spec) read off the header
     if head is not None:
-        doc, start, end = head
+        doc = head[0]
         try:
             known = _fields(doc)
-            band, reason = known[2] and build(known[2]), ""
+            band, reason = known[2] and build(known[2]).diags or (), ""
         except InvalidSpec as exc:  # build's reason is spec_reason's
-            band, reason = None, str(exc) if known else None
-        mats = band and _spec_band(text, start, end, band) or _scan(text, *head)
+            band, reason = (), str(exc) if known else None
+        mats = _read_matrices(text, *head, dict(zip(("u", "ap", "am"), band)))
     if mats:
         doc["matrices"] = mats
     else:

@@ -5,12 +5,14 @@ import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from spheretorus import cli
+from spheretorus import cli, emit
 from spheretorus.classify import (
     enumerate_s2_nonminimal,
     solve_minimal_s2,
@@ -18,7 +20,6 @@ from spheretorus.classify import (
 )
 from spheretorus.emit import (
     SWEEP_HEADER,
-    _band_doc,
     emit_diagram_svg,
     emit_nc_torus_json,
     emit_rep_json,
@@ -348,11 +349,22 @@ def test_cli_caps_sweep_count(count, capsys):
     assert "1 <= count <= 1024" in error
 
 
-def test_readme_python_quick_start_emits():
-    """The README's Python block runs, and its string family emits."""
+def test_readme_python_quick_start_emits(tmp_path):
+    """The README's Python block runs, in a fresh interpreter with warnings
+    as errors too, and its string family emits."""
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
     block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines[0] == "from fractions import Fraction"
+    assert any(re.fullmatch(r"text = emit_rep_json\(m\) .*", line)
+               for line in lines)
+    (tmp_path / "quickstart.py").write_text(block)
+    proc = subprocess.run([sys.executable, "-W", "error", "quickstart.py"],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(_SRC)))
+    assert (proc.returncode, proc.stderr) == (0, "")
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
     m = scope["m"]
@@ -621,13 +633,33 @@ def test_cli_reporter_and_builder_exit_alike(report, make, family, R, n, k,
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _spheretorus(argv):
+def _spheretorus(argv, cwd=None):
     """The CLI as a user runs it: ``python -m spheretorus.cli`` in a fresh
     interpreter, warnings as errors."""
     env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error")
     return subprocess.run([sys.executable, "-m", "spheretorus.cli", *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=env, cwd=cwd,
                           timeout=120)
+
+
+def test_readme_command_block_runs(tmp_path):
+    # each line of the README's CLI block, in order and in one directory
+    # (verify reads the file build wrote), exits 0 with warnings as errors
+    readme = (_SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)", 1)[1]
+    lines = block.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["spheretorus"] * 12
+    for line in lines:
+        proc = _spheretorus(shlex.split(line, comments=True)[1:], tmp_path)
+        assert proc.returncode == 0, (line, proc.stderr)
+
+
+@pytest.mark.parametrize("command", ["solve-min-s2", "verify s2min"])
+def test_a_minimal_chain_near_minus_one_solves_and_verifies(command):
+    # the reporter and the builder both find the chain: the builder applies
+    # the solver's chain test, where the first interior |C|^2 is about 1e-9
+    proc = _spheretorus(command.split() + ["--R", "-0.999999", "--n", "4096"])
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["solve-min-s2", "verify s2min"])
@@ -696,6 +728,13 @@ def test_out_writes_the_bytes_stdout_shows(argv, tmp_path):
     assert json.loads(receipt.stdout) == {"out": path}
 
 
+def _scanned(text):
+    """The matrices of text read from their entries (no band), or None
+    unless text has render_json's layout."""
+    head = emit._header(text)
+    return head and emit._read_matrices(text, *head, {})
+
+
 def test_verify_file_through_both_loaders(tmp_path):
     # the file build writes is read from its band, the re-indented one by
     # json.loads; verify prints the same report for both
@@ -712,8 +751,8 @@ def test_verify_file_through_both_loaders(tmp_path):
     band = run(*cli, "verify", "big.json")
     run("-m", "json.tool", "big.json", "indented.json")
     assert run(*cli, "verify", "indented.json") == band
-    assert _band_doc((tmp_path / "big.json").read_text()) is not None
-    assert _band_doc((tmp_path / "indented.json").read_text()) is None
+    assert _scanned((tmp_path / "big.json").read_text()) is not None
+    assert _scanned((tmp_path / "indented.json").read_text()) is None
 
 
 def _builder_document(family):

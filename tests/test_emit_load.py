@@ -1,13 +1,14 @@
 """The readers of a representation document, and the renderer they share.
 
-``load_rep_json`` loads a text that is byte for byte its spec's band, as
-``build`` makes it, from that band (``emit._spec_band``); it reads any
-other text in ``render_json``'s layout from its entries other than [0, 0]
-(``emit._band_doc``), and the rest through ``json.loads``.  The
+``load_rep_json`` reads a text in ``render_json``'s layout in one pass,
+``emit._read_matrices``: a matrix whose text is byte for byte its spec's
+band, as ``build`` makes it, loads as that band, and any other matrix from
+its entries other than [0, 0]; the rest goes through ``json.loads``.  The
 differential test below mutates canonical documents of all six families
 and asks the readers for the same arrays, spec and error message: the
 reference text ``json.dumps(json.loads(text))`` is never canonical, so it
-always takes the json path.
+always takes the json path.  ``_scanned`` reads a text's matrices with no
+band, each from its entries.
 """
 
 import json
@@ -117,6 +118,13 @@ def _fingerprint(loaded):
             tuple(map(_bits, floats)), diags)
 
 
+def _scanned(text):
+    """The matrices of text read from their entries (no band), or None
+    unless text has render_json's layout."""
+    head = emit._header(text)
+    return head and emit._read_matrices(text, *head, {})
+
+
 def _outcome(text):
     try:
         return _fingerprint(load_rep_json(text))
@@ -131,7 +139,7 @@ def _reference(text):
     except ValueError as exc:
         return ("InvalidSpec", f"not a JSON document: {exc}")
     again = json.dumps(doc)
-    assert emit._band_doc(again) is None
+    assert _scanned(again) is None
     return _outcome(again)
 
 
@@ -230,7 +238,7 @@ MUTATIONS = {
 @pytest.mark.parametrize("family,n", DOCUMENTS)
 def test_both_readers_agree(family, n):
     text = _text(family, n)
-    assert emit._band_doc(text) is not None, "a canonical document takes the band path"
+    assert _scanned(text) is not None, "a canonical document takes the band path"
     assert _outcome(text) == _reference(text)
     rng = random.Random(f"{family}-{n}")
     for name, mutate in MUTATIONS.items():
@@ -250,15 +258,26 @@ def test_only_canonical_text_takes_the_band_path():
     rng = random.Random(1)
     canonical = ("off-band entry", "reordered keys", "repeated matrix name")
     for name, mutate in MUTATIONS.items():
-        taken = emit._band_doc(mutate(text, rng)) is not None
+        taken = _scanned(mutate(text, rng)) is not None
         assert taken == (name in canonical), name
+
+
+@pytest.mark.parametrize("old,new", [('{\n    "u"', '[\n    "u"'),
+                                     (',\n    "ap"', ' \n    "ap"')],
+                         ids=["bracket", "no comma"])
+def test_a_key_line_is_checked_before_a_band_matrix(old, new):
+    # every matrix is its band's text, but the "{" or "," before a key is not
+    # there: no reader takes the text, and json.loads refuses it
+    text = _text("s2min", 9).replace(old, new, 1)
+    assert emit._header(text) is not None and _scanned(text) is None
+    assert _outcome(text) == _reference(text)
 
 
 def test_zero_matrices_take_the_band_path():
     doc = json.loads(_text("nc-torus", 3))
     doc["matrices"] = {"u": [[[0, 0]] * 3] * 3, "v": [[[0, 0]] * 3] * 3}
     text = emit.render_json(doc)
-    assert emit._band_doc(text) is not None
+    assert _scanned(text) is not None
     assert _outcome(text) == _reference(text)
 
 
@@ -269,7 +288,7 @@ def test_band_path_matches_json_path_on_off_band_documents():
     doc["matrices"]["ap"][3][0] = [1e-300, -1e308]
     doc["matrices"]["am"][1][1] = [5e-324, 2.5e-17]
     text = emit.render_json(doc)
-    assert emit._band_doc(text) is not None
+    assert _scanned(text) is not None
     assert _outcome(text) == _reference(text)
 
 
@@ -294,15 +313,49 @@ def test_a_built_document_loads_from_its_spec_band(family, n, monkeypatch):
     # build's text is its spec's band byte for byte: it loads with the scan
     # refused, bit for bit as the scan reads it
     text = _text(family, n)
+    read = emit._read_matrices
     with monkeypatch.context() as patch:
-        patch.setattr(emit, "_spec_band", lambda *args: None)
+        patch.setattr(emit, "_read_matrices",
+                      lambda text, doc, start, end, band:
+                      read(text, doc, start, end, {}))
         scanned = _fingerprint(load_rep_json(text))
 
     def refuse(*args):
         raise AssertionError("the scan ran")
 
-    monkeypatch.setattr(emit, "_scan", refuse)
+    # only the scan of a matrix's entries makes a _Diags with at
+    monkeypatch.setattr(_Diags, "at", refuse)
     assert _fingerprint(load_rep_json(text)) == scanned
+
+
+def _moved(text, name):
+    """The first nonzero real part of matrix name moved up by one ulp."""
+    doc = json.loads(text)
+    pair = next(z for row in doc["matrices"][name] for z in row if z[0])
+    pair[0] = math.nextafter(pair[0], math.inf)
+    return emit.render_json(doc)
+
+
+@pytest.mark.parametrize("name", ["u", "am"])
+@pytest.mark.parametrize("family", ["s2min", "s2nonmin", "t2", "t2window",
+                                    "fuzzy-sphere"])
+def test_a_document_off_its_band_in_one_matrix_scans_that_matrix(
+        family, name, monkeypatch):
+    # the other two matrices are the band's text, so they load as the band
+    # and only the edited one is read from its entries
+    text = _moved(_text(family, 9), name)
+    want = _reference(text)  # the json path makes its _Diags with at too
+    at, made = _Diags.at, []
+
+    def spy(*args):
+        made.append(at(*args))
+        return made[-1]
+
+    monkeypatch.setattr(_Diags, "at", spy)
+    loaded = load_rep_json(text)
+    assert _fingerprint(loaded) == want
+    assert len(made) == 1
+    assert made[0] is loaded.diags[("u", "ap", "am").index(name)]
 
 
 def _one_ulp(text):
@@ -339,25 +392,25 @@ OTHER_DOCUMENTS = {
 def test_a_document_that_is_not_its_spec_band_takes_the_scan(name, monkeypatch):
     text = OTHER_DOCUMENTS[name]()
     want = _reference(text)  # its own values, or the json path's error
-    scan, scans, asked = emit._scan, [], []
+    read, reads, asked = emit._read_matrices, [], []
 
     def spy(*args):
-        scans.append(scan(*args))
-        return scans[-1]
+        reads.append(read(*args))
+        return reads[-1]
 
     def reason(spec):
         asked.append(spec)
         return spec_reason(spec)
 
-    monkeypatch.setattr(emit, "_scan", spy)
+    monkeypatch.setattr(emit, "_read_matrices", spy)
     monkeypatch.setattr(emit, "spec_reason", reason)
     monkeypatch.setattr(reps, "spec_reason", reason)
     assert _outcome(text) == want
-    assert len(scans) == 1, "the band path refused the text"
+    assert len(reads) == 1, "the matrices block was read more than once"
     if name == "text after the matrices":
-        assert scans[0] is None  # json.loads reads it
+        assert reads[0] is None  # json.loads reads it
     else:  # the scan reads it, and spec_reason runs once, inside build
-        assert scans[0] is not None
+        assert reads[0] is not None
         assert len(asked) == (name != "nc-torus")
     assert want != _outcome(_text("s2min", 9))
 

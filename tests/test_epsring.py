@@ -256,6 +256,34 @@ def test_at_zero():
     assert (ES_ONE + ES_EPS * ES_EPS).at_zero() == CR_ONE
     assert ES_EPS.at_zero() == CR_ZERO
     assert phase(3).at_zero() == CR_ONE  # every phase -> 1 at eps = 0
+    assert ES_ZERO.at_zero() == (ES_EPS - ES_EPS).at_zero() == CR_ZERO
+
+
+def test_crat_division_by_zero_raises():
+    c = CRat(Fraction(1, 2), Fraction(-3))
+    assert c / CRat(Fraction(0), Fraction(2)) == CRat(Fraction(-3, 2),
+                                                      Fraction(-1, 4))
+    with pytest.raises(ZeroDivisionError, match="division by zero scalar"):
+        c / CR_ZERO
+
+
+def test_crat_conjugate():
+    c = CRat(Fraction(1, 2), Fraction(-3))
+    assert c.conjugate() == CRat(Fraction(1, 2), Fraction(3))
+    assert c * c.conjugate() == CRat(Fraction(37, 4))
+    assert CR_ONE.conjugate() == CR_ONE
+
+
+def test_eps_scalar_equals_ring_numbers_and_defers_otherwise():
+    two = EpsScalar.of(2)
+    for other in (2, Fraction(2), CRat(Fraction(2))):
+        assert two == other and other == two
+        assert ES_EPS != other
+    assert ES_ZERO == 0 and ES_I == CR_I
+    # a foreign type gets NotImplemented, so == falls back to identity
+    assert two.__eq__(2.0) is NotImplemented
+    assert two.__eq__("2") is NotImplemented
+    assert two != "2" and not two == object()
 
 
 def test_str_round_readability():

@@ -2,9 +2,9 @@
 
 A subprocess makes every import of numpy fail (``sys.modules["numpy"] =
 None``), then imports the package and the CLI and runs ``--help``, usage
-errors and the README commands that compute without arrays.  Each must give
-the exit code, stdout and stderr of the same call in this process, where
-numpy is available.
+errors, error records and the README commands that compute without
+arrays.  Each must give the exit code, stdout and stderr of the same call
+in this process, where numpy is available.
 """
 
 import contextlib
@@ -96,6 +96,9 @@ def test_cli_runs_without_numpy(monkeypatch):
               ["build", "s2min", "--R", "0.5"], ["verify", "nosuchfile"],
               ["diagram", "t2", "--R", "3", "--n", "5"],
               ["sweep", "--n", "5", "--R=0.5:2:0"], ["enum-s2", "--R", "1"]]
+    # error records: an exit code, nothing on stdout, one JSON line on stderr
+    argvs += [["build", "nosuch"], ["reduce", "--R", "1", "--expr", "x +"],
+              ["solve-min-s2", "--R", "5", "--n", "5"]]
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _BLOCKED, json.dumps(argvs)],
                           capture_output=True, text=True, env=env,
@@ -107,8 +110,11 @@ def test_cli_runs_without_numpy(monkeypatch):
         ["reps", "emit", *spheretorus._EXPORTS["reps"],
          *spheretorus._EXPORTS["emit"]])
     want = [_run(argv) for argv in argvs]
-    assert [code for code, _, _ in want] == [0] * 9 + [1] + [2] * 7
+    assert [code for code, _, _ in want] == [0] * 9 + [1] + [2] * 9 + [1]
     assert got["runs"] == want
+    for _, out, err in got["runs"][-3:]:
+        assert out == "" and len(err.splitlines()) == 1
+        assert "error" in json.loads(err)
 
 
 def test_exports_are_pinned_and_resolve():
