@@ -47,7 +47,7 @@ from .jsontext import render_json, render_json_compact
 from .parser import parse_expr
 
 TWO_PI = 2.0 * math.pi
-# size caps; the dense matrices of a `build` document are 805 MB at MAX_DIM
+# size caps; `build` writes 403 MB (s2min) or 269 MB (nc-torus) at MAX_DIM
 MAX_DIM = 4096
 MAX_GRID = 65536
 MAX_SWEEP = 1024
@@ -189,15 +189,13 @@ def _build_target(args, family: str):
     """What build or verify names by family: a ReprMatrices, or the
     clock/shift NcTorusPair for nc-torus."""
     _require(args, *_SPEC_FLAGS[family])
-    from .reps import NcTorusPair, build, build_fuzzy_sphere, build_nc_torus
+    from .reps import build, build_fuzzy_sphere, nc_torus_pair
 
     if family == "fuzzy-sphere":
         return build_fuzzy_sphere(args.n)
     if family == "nc-torus":
         beta = 0.0 if args.beta_prime is None else args.beta_prime
-        nu = _nu(args)
-        return NcTorusPair(args.n, args.k, beta, nu,
-                           *build_nc_torus(args.n, args.k, beta=beta, nu=nu))
+        return nc_torus_pair(args.n, args.k, beta, _nu(args))
     return build(_resolve_spec(args, family))
 
 

@@ -4,12 +4,12 @@ All numbers are serialized with 17 significant digits, so emit -> load ->
 emit is byte-identical and loaded matrices reproduce residuals exactly.
 One renderer, ``jsontext``, writes both the pretty and the compact JSON;
 this module re-exports ``render_json`` and ``render_json_compact``.
-Representation documents hold their matrices as diagonals (``reps._Diags``;
-a clock/shift pair's as complex ndarrays).  ``load_rep_json`` reads a text
-in this module's layout in one pass over its matrices: it builds the spec
-its header names, and a matrix whose text is byte for byte that band's
-render loads as the band, while any other has its nonzero entries parsed
-straight into diagonals.  Any other text is read by json.loads.  Neither
+Representation documents, a clock/shift pair's among them, hold their
+matrices as diagonals (``reps._Diags``).  ``load_rep_json`` reads a text in
+this module's layout in one pass over its matrices: it builds the band its
+header names, and a matrix whose text is byte for byte that band's render
+loads as the band, while any other has its nonzero entries parsed straight
+into diagonals.  Any other text is read by json.loads.  Neither
 path makes an n x n array.
 """
 
@@ -36,6 +36,7 @@ from .reps import (
     ReprSpec,
     ResidualReport,
     build,
+    nc_torus_pair,
     nc_torus_reason,
     nc_torus_residuals,
     spec_reason,
@@ -69,9 +70,9 @@ def rep_document(m: ReprMatrices, report: Optional[ResidualReport] = None) -> di
     }
 
 
-def nc_torus_document(
-    u: np.ndarray, v: np.ndarray, n: int, k: int, beta: float, nu: complex
-) -> dict:
+def nc_torus_document(u, v, n: int, k: int, beta: float, nu: complex) -> dict:
+    """A clock/shift pair's document (as a dict), u and v as diagonals."""
+    u, v = _Diags.of(u), _Diags.of(v)
     residuals = nc_torus_residuals(u, v, n, k)
     return {
         "family": Family.NC_TORUS.value,
@@ -89,12 +90,12 @@ def emit_rep_json(m: Union[ReprMatrices, NcTorusPair],
     """The JSON text of a representation or of a clock/shift pair (whose
     document always carries freshly computed residuals)."""
     if isinstance(m, NcTorusPair):
-        return render_json(nc_torus_document(m.u, m.v, m.n, m.k, m.beta, m.nu))
+        return render_json(nc_torus_document(*m.diags, m.n, m.k, m.beta, m.nu))
     return render_json(rep_document(m, report))
 
 
-def emit_nc_torus_json(u: np.ndarray, v: np.ndarray, n: int, k: int,
-                       beta: float = 0.0, nu: complex = 1.0 + 0.0j) -> str:
+def emit_nc_torus_json(u, v, n: int, k: int, beta: float = 0.0,
+                       nu: complex = 1.0 + 0.0j) -> str:
     return render_json(nc_torus_document(u, v, n, k, beta, nu))
 
 
@@ -206,8 +207,8 @@ def _read_matrices(text: str, doc: dict, start: int, end: int,
 
 
 def _fields(doc: dict) -> tuple:
-    """(n, nu, spec) of a document, spec None for a clock/shift pair; a
-    missing, mistyped or refused field raises InvalidSpec."""
+    """(n, spec) of a document, spec a clock/shift pair's (n, k, beta, nu)
+    for nc-torus; a missing, mistyped or refused field raises InvalidSpec."""
     family = doc.get("family")
     try:
         fam = Family(family)
@@ -216,8 +217,9 @@ def _fields(doc: dict) -> tuple:
     n = int(_field(doc, "n", kinds="i"))
     nu = complex(*_field(doc, "nu", (2,)).tolist())
     if fam == Family.NC_TORUS:
-        return n, nu, None
-    return n, nu, ReprSpec(
+        k, beta = int(_field(doc, "k", kinds="i")), float(_field(doc, "beta"))
+        return n, (n, k, beta, nu)
+    return n, ReprSpec(
         family=fam,
         R=float(_field(doc, "R")),
         n=n,
@@ -238,26 +240,27 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
     clock/shift pair failing reps.nc_torus_reason.
 
     A text in this module's layout is read in one pass, ``_read_matrices``:
-    the header is parsed once, build makes its spec's band, and each
-    matrix whose text is byte for byte that band's render loads as the
-    band; any other matrix, every one of a clock/shift pair's among them,
-    is read from its entries other than [0, 0] as json.loads would read
-    it, straight into diagonals.  Any other text goes through json.loads
-    and dense arrays.  Entries off the band load as they are, for verify
-    to report.  spec_reason runs once, inside build, unless json.loads must
-    read a text whose header was parsed.  A clock/shift pair's u and v are
-    dense either way.
+    the header is parsed once, build (nc_torus_pair for a clock/shift pair)
+    makes its band, and each matrix whose text is byte for byte that band's
+    render loads as the band; any other matrix is read from its entries
+    other than [0, 0] as json.loads would read it, straight into diagonals.
+    Any other text goes through json.loads and dense arrays.  Entries off
+    the band load as they are, for verify to report.  spec_reason runs
+    once, inside build, unless json.loads must read a text whose header was
+    parsed.
     """
     head = _header(text) if isinstance(text, str) else None
-    known = reason = mats = None  # known: (n, nu, spec) read off the header
+    known = reason = mats = None  # known: (n, spec) read off the header
     if head is not None:
         doc = head[0]
         try:
-            known = _fields(doc)
-            band, reason = known[2] and build(known[2]).diags or (), ""
-        except InvalidSpec as exc:  # build's reason is spec_reason's
-            band, reason = (), str(exc) if known else None
-        mats = _read_matrices(text, *head, dict(zip(("u", "ap", "am"), band)))
+            n, spec = known = _fields(doc)
+            band, reason = (dict(zip(("u", "ap", "am"), build(spec).diags))
+                            if isinstance(spec, ReprSpec) else
+                            dict(zip("uv", nc_torus_pair(*spec).diags))), ""
+        except InvalidSpec as exc:  # a builder's reason is its rule's
+            band, reason = {}, str(exc) if known else None
+        mats = _read_matrices(text, *head, band)
     if mats:
         doc["matrices"] = mats
     else:
@@ -268,7 +271,7 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
             raise InvalidSpec(f"not a JSON document: {exc}") from None
         if not isinstance(doc, dict):
             raise InvalidSpec("a representation document is a JSON object")
-    n, nu, spec = known or _fields(doc)
+    n, spec = known or _fields(doc)
     mats = doc["matrices"] if isinstance(doc.get("matrices"), dict) else {}
 
     def matrix(name: str) -> Union[_Diags, np.ndarray]:
@@ -277,12 +280,10 @@ def load_rep_json(text: str) -> Union[ReprMatrices, NcTorusPair]:
         arr = _field(mats, name, (n, n, 2)).astype(float, copy=False)
         return arr.view(complex)[..., 0]
 
-    if spec is None:
-        k = int(_field(doc, "k", kinds="i"))
-        u, v = (x if isinstance(x, np.ndarray) else x.dense()
-                for x in (matrix("u"), matrix("v")))
-        loaded = NcTorusPair(n, k, float(_field(doc, "beta")), nu, u, v)
-        reason = nc_torus_reason(n, k, nu)
+    if not isinstance(spec, ReprSpec):
+        loaded = NcTorusPair(*spec, matrix("u"), matrix("v"))
+        if reason is None:
+            reason = nc_torus_reason(n, spec[1], spec[3])
     else:
         loaded = ReprMatrices(spec, matrix("u"), matrix("ap"), matrix("am"))
         if reason is None:

@@ -1,15 +1,14 @@
 """The one JSON renderer: pretty and compact text, 17 significant digits.
 
 Numbers are written with 17 significant digits, so emit -> load -> emit is
-byte-identical.  A matrix is a complex ndarray or, duck-typed, an object
-that lists its nonzero entries by flat position (``reps._Diags``); either
-is rendered as rows of [re, im] pairs.  Its text is the zero matrix's, made
-by string repetition, with the nonzero entries (O(n) of the n^2 in a banded
-representation), formatted in one batch, spliced in at offsets computed
-from their rows and columns.  Every other number is a Python int or float.
-This module imports neither numpy nor ``reps``: an ndarray is recognised
-through ``sys.modules``, because until numpy has been imported none can
-exist.
+byte-identical.  A matrix is, duck-typed, an n x n object that lists its
+nonzero entries by flat position (``reps._Diags``), rendered as rows of
+[re, im] pairs.  Its text is the zero matrix's, made by string repetition,
+with the nonzero entries (O(n) of the n^2 in a banded representation),
+formatted in one batch, spliced in at offsets computed from their rows and
+columns.  Every other number is a Python int or float.  This module imports
+neither numpy nor ``reps``: it takes numpy from ``sys.modules``, because
+until ``reps`` has loaded it no matrix can exist.
 """
 
 from __future__ import annotations
@@ -47,24 +46,18 @@ def _inline_list(lst: list) -> bool:
 
 
 def _matrix(mat, pad: Optional[str]) -> str:
-    """The text of a matrix: an ndarray, or an object with a size ``n`` whose
+    """The text of an n x n matrix: an object with a size ``n`` whose
     ``entries()`` gives the flat positions (ascending) and the values of its
     nonzero entries.  Every "[0, 0]" has one width, so the zero matrix's text
     is made whole and the formatted entries are spliced in at the offsets
     their rows and columns give."""
     np = sys.modules["numpy"]
-    if isinstance(mat, np.ndarray):
-        arr = np.asarray(mat, dtype=complex)
-        (nrows, ncols), index = arr.shape, np.flatnonzero(arr)
-        values = arr.ravel()[index]
-    else:
-        nrows = ncols = mat.n
-        index, values = mat.entries()
+    n, (index, values) = mat.n, mat.entries()
     sep = "," if pad is None else ", "
     indent = "" if pad is None else "\n" + pad + "  "  # as _block writes
     zero = "[0" + sep + "0]"
-    row = "[" + sep.join([zero] * ncols) + "]"
-    text = _block("[", [row] * nrows, "]", pad)
+    row = "[" + sep.join([zero] * n) + "]"
+    text = _block("[", [row] * n, "]", pad)
     if not len(index):
         return text
     parts = values.view(float) + 0.0  # -0.0 becomes 0.0
@@ -72,7 +65,7 @@ def _matrix(mat, pad: Optional[str]) -> str:
         _num_str(bad)  # raises DomainError
     # "[" and the indent open the block, "," and the indent part its rows,
     # "[" opens a row and each cell before the entry is a zero and sep
-    rows, cols = np.divmod(index, ncols)
+    rows, cols = np.divmod(index, n)
     at = rows * (len(row) + 1 + len(indent)) + cols * (len(zero) + len(sep))
     at += 2 + len(indent)
     ends, at = (at + len(zero)).tolist(), at.tolist()
@@ -117,8 +110,7 @@ def _render(obj, pad: Optional[str]) -> str:
         items = [_quote(str(k)) + colon + _render(v, child)
                  for k, v in obj.items()]
         return _block("{", items, "}", pad)
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.ndarray) or hasattr(obj, "entries"):
+    if hasattr(obj, "entries"):
         return _matrix(obj, pad)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -20,14 +20,15 @@ region table; ``_repeat`` for a window); ``build(spec)`` applies it and makes
 all five (``build_s2``, ``build_t2_*`` name it too), and ``verify_relations``
 holds every relation table: the deformed relations, the fuzzy sphere's su(2)
 relations, or the Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices``
-stores u, ap and am once, as nonzero diagonals (``_Diags``, the DIA format)
-that residuals, ``rep_evaluate`` and ``check_irreducible`` use in O(n *
-diagonals), and that documents are rendered from and loaded into by flat
-position (``_Diags.entries`` and ``_Diags.at``), with no n x n array.  Dense
-input (a document that json.loads reads, an edited matrix) is read once,
-off-band entries included; ``.u``, ``.ap`` and ``.am`` are read-only dense
-copies.  Products and norms sum in offset order and ``rep_evaluate`` in
-(r, s) key order, so no dict insertion order reaches a float.
+(u, ap, am) and an ``NcTorusPair`` (u, v) store their matrices once, as
+nonzero diagonals (``_Diags``, the DIA format) that residuals,
+``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals), and
+that documents are rendered from and loaded into by flat position
+(``_Diags.entries``, ``_Diags.at``), with no n x n array.  Dense input (a
+document that json.loads reads, an edited matrix) is read once, off-band
+entries included; ``.u``, ``.ap``, ``.am`` and ``.v`` are dense copies.
+Products and norms sum in offset order and ``rep_evaluate`` in (r, s) key
+order, so no dict insertion order reaches a float.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class ReprSpec:
         except ValueError:
             raise InvalidSpec(f"unknown family {self.family!r}") from None
         if self.family == Family.NC_TORUS:
-            raise InvalidSpec("nc-torus has no spec; build_nc_torus makes it")
+            raise InvalidSpec("nc-torus has no spec; nc_torus_pair makes it")
         if self.family == Family.T2 and self.k is not None:
             set_(self, "alpha", TWO_PI * self.k / self.n)
         if self.family == Family.T2WINDOW:
@@ -152,15 +153,17 @@ class ReprMatrices:
     am = property(lambda self: self.diags[2].dense(writeable=False))
 
 
-class NcTorusPair(NamedTuple):
-    """Clock/shift reference pair, as stored in its JSON document."""
+class NcTorusPair:
+    """A clock/shift pair: (n, k, beta, nu) and u, v as ``_Diags``."""
 
-    n: int
-    k: int
-    beta: float
-    nu: complex
-    u: np.ndarray
-    v: np.ndarray
+    __slots__ = ("n", "k", "beta", "nu", "diags")
+
+    def __init__(self, n: int, k: int, beta: float, nu: complex, u, v):
+        self.n, self.k, self.beta, self.nu = n, k, beta, nu
+        self.diags = (_Diags.of(u), _Diags.of(v))
+
+    u = property(lambda self: self.diags[0].dense(writeable=False))
+    v = property(lambda self: self.diags[1].dense(writeable=False))
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,11 @@ def spec_reason(spec: ReprSpec) -> str:
                     f"got R = {spec.R!r}")
         d = _repeat(np.exp(1j * (
             spec.beta + np.arange(-spec.M, spec.M + 1) * spec.alpha)))
-        return (f"alpha = 2*pi*{Fraction(round(d * spec.alpha / TWO_PI), d)} "
-                "is a rational angle; build the finite torus" if d else "")
+        p = round(d * spec.alpha / TWO_PI)  # 0 when alpha is below resolution
+        return "" if not d else (f"alpha = 2*pi*{Fraction(p, d)} is a rational "
+                                 "angle; build the finite torus" if p else
+                                 f"eigenvalues {d} apart coincide within "
+                                 "IRREDUCIBLE_TOL")
     return ("" if spec == _fuzzy_spec(spec.n) else
             f"a fuzzy sphere spec is the one n = {spec.n} fixes")
 
@@ -403,7 +409,7 @@ def verify_relations(m: Union[ReprMatrices, NcTorusPair]) -> ResidualReport:
     reported in ``excluded``.
     """
     if isinstance(m, NcTorusPair):
-        return ResidualReport(nc_torus_residuals(m.u, m.v, m.n, m.k))
+        return ResidualReport(nc_torus_residuals(*m.diags, m.n, m.k))
     u, x, y, z, w = _coords(m)
     eps, R = m.spec.eps, m.spec.R
     eye = _Diags.eye(u.n)
@@ -538,9 +544,8 @@ def nc_torus_reason(n: int, k: int, nu: complex) -> str:
     return ""
 
 
-def build_nc_torus(
-    n: int, k: int, beta: float = 0.0, nu: complex = 1.0 + 0.0j
-) -> Tuple[np.ndarray, np.ndarray]:
+def nc_torus_pair(n: int, k: int, beta: float = 0.0,
+                  nu: complex = 1.0 + 0.0j) -> NcTorusPair:
     """The finite noncommutative torus: clock and shift matrices.
 
     u is diagonal with angles beta + 2*pi*r*k/n, v the cyclic shift with
@@ -552,12 +557,17 @@ def build_nc_torus(
     # v is the raising half of a band with unit couplings and wrap corner nu
     u, v, _ = _band(beta + TWO_PI * np.arange(n) * k / n, np.ones(n - 1),
                     complex(nu).conjugate())
-    return u.dense(), v.dense()
+    return NcTorusPair(n, k, beta, nu, u, v)
 
 
-def nc_torus_residuals(
-    u: np.ndarray, v: np.ndarray, n: int, k: int
-) -> Dict[str, float]:
+def build_nc_torus(n: int, k: int, beta: float = 0.0, nu: complex = 1.0 + 0.0j
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``nc_torus_pair``'s u and v as dense arrays."""
+    return tuple(d.dense() for d in nc_torus_pair(n, k, beta, nu).diags)
+
+
+def nc_torus_residuals(u, v, n: int, k: int) -> Dict[str, float]:
+    """The Weyl and unitarity residuals of u and v, dense or ``_Diags``."""
     q = np.exp(2j * math.pi * k / n)
     u, v = _Diags.of(u), _Diags.of(v)
     eye = _Diags.eye(n)

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -686,6 +687,52 @@ def test_cli_window_refuses_a_rational_angle_of_any_denominator(capsys):
     assert json.loads(out.err) == {
         "error": "alpha = 2*pi*1/65 is a rational angle; build the finite "
                  "torus"}
+
+
+@pytest.mark.parametrize("R,n,alpha", [("3", "9", "1e-14"),
+                                       ("1e308", "3", "1e-300")])
+def test_cli_window_below_float_resolution_names_no_torus(R, n, alpha,
+                                                          capsys):
+    # neighbouring eigenvalues coincide, but round(alpha/2pi) = 0: no finite
+    # torus has k = 0, and 2*pi*0 is no angle in (0, pi)
+    argv = ["build", "t2window", "--R", R, "--n", n, "--alpha", alpha]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "eigenvalues 1 apart coincide within IRREDUCIBLE_TOL"}
+
+
+def test_verify_nc_torus_at_max_dim_makes_no_dense_pair():
+    # the dense pair alone is 2 * 4096^2 * 16 bytes = 512 MiB.  The child
+    # reads its own peak: RUSAGE_CHILDREN would keep the largest peak of any
+    # child this process has waited for
+    script = (
+        "import resource, sys\n"
+        "from spheretorus import cli\n"
+        "rc = cli.main(['verify', 'nc-torus', '--n', '4096', '--k', '1'])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "sys.stderr.write(f'{rc} {peak}')\n")
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    rc, peak_kib = map(int, proc.stderr.split())
+    assert rc == 0 and json.loads(proc.stdout)["ok"] is True
+    assert peak_kib < 100 * 1024, f"peak {peak_kib / 1024:.0f} MiB"
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m spheretorus.cli, in this process; runpy warns when the
+    # module it runs as __main__ is already imported
+    argv = ["topology", "--R", "0.5"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr()
+    monkeypatch.delitem(sys.modules, "spheretorus.cli")
+    monkeypatch.setattr(sys, "argv", ["spheretorus", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("spheretorus.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == want
 
 
 def test_verify_file_loads_only_what_a_builder_would_make(tmp_path):

@@ -28,18 +28,18 @@ from spheretorus.classify import (
     solve_minimal_s2,
     t2_beta_window,
 )
-from spheretorus.emit import emit_nc_torus_json, emit_rep_json, load_rep_json
+from spheretorus.emit import emit_rep_json, load_rep_json
 from spheretorus.errors import DomainError, InvalidSpec
 from spheretorus.reps import (
     Family,
     NcTorusPair,
     ReprSpec,
     build_fuzzy_sphere,
-    build_nc_torus,
     build_s2,
     build_t2_finite,
     build_t2_window,
     check_irreducible,
+    nc_torus_pair,
     spec_reason,
     verify_relations,
     _Diags,
@@ -89,8 +89,7 @@ def _build_text(family, n):
         return None
     k = max(k for k in range(1, max(2, n // 2 + 1)) if math.gcd(n, k) == 1)
     nu = complex(math.cos(0.7), math.sin(0.7))
-    u, v = build_nc_torus(n, k, beta=0.3, nu=nu)
-    return emit_nc_torus_json(u, v, n, k, 0.3, nu)
+    return emit_rep_json(nc_torus_pair(n, k, 0.3, nu))
 
 
 DOCUMENTS = [(family, n) for family in ("s2min", "s2nonmin", "t2", "t2window",
@@ -292,23 +291,32 @@ def test_band_path_matches_json_path_on_off_band_documents():
     assert _outcome(text) == _reference(text)
 
 
-@pytest.mark.parametrize("family", ["s2min", "s2nonmin", "t2", "t2window",
-                                    "fuzzy-sphere"])
-def test_the_document_path_makes_no_dense_matrix(family, monkeypatch):
-    def refuse(self, writeable=True):
-        raise AssertionError("a dense matrix was made")
+def _refuse_dense(self, writeable=True):
+    raise AssertionError("a dense matrix was made")
 
-    monkeypatch.setattr(_Diags, "dense", refuse)
+
+@pytest.mark.parametrize("family", ["s2min", "s2nonmin", "t2", "t2window",
+                                    "fuzzy-sphere", "nc-torus"])
+def test_the_document_path_makes_no_dense_matrix(family, monkeypatch):
+    monkeypatch.setattr(_Diags, "dense", _refuse_dense)
     text = _build_text(family, 9)  # build, then emit_rep_json
     loaded = load_rep_json(text)
     report = verify_relations(loaded)
-    check_irreducible(loaded)
+    if family != "nc-torus":  # a clock/shift pair has no ladder
+        check_irreducible(loaded)
     assert report.ok(1e-10 * 9)
     assert emit_rep_json(loaded, report) == text
 
 
-@pytest.mark.parametrize("family,n", [(family, n) for family, n in DOCUMENTS
-                                      if family != "nc-torus"])
+def test_verify_of_a_clock_shift_pair_makes_no_dense_matrix(monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(_Diags, "dense", _refuse_dense)
+    assert cli.main(["verify", "nc-torus", "--n", "64", "--k", "5",
+                     "--nu-phase", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("family,n", DOCUMENTS)
 def test_a_built_document_loads_from_its_spec_band(family, n, monkeypatch):
     # build's text is its spec's band byte for byte: it loads with the scan
     # refused, bit for bit as the scan reads it
@@ -377,7 +385,7 @@ OTHER_DOCUMENTS = {
     "one-ulp coupling": lambda: _one_ulp(_text("s2min", 9)),
     "off-band entry": lambda: MUTATIONS["off-band entry"](_text("s2min", 9),
                                                           random.Random(0)),
-    "nc-torus": lambda: _text("nc-torus", 9),
+    "nc-torus": lambda: _moved(_text("nc-torus", 9), "v"),
     "refused spec": lambda: _edited(_text("s2min", 9), beta_prime=0),
     # each matrix is the band's, but json.loads finds no "u"
     "renamed matrix": lambda: _text("s2min", 9).replace(
@@ -451,18 +459,12 @@ def _reference_matrix_rows(mat, sep):
 _LAYOUTS = ((", ", "    "), (", ", ""), (",", None))
 
 
-def _inputs(mat):
-    """mat as the renderer takes it: dense, and as diagonals if square."""
-    yield mat
-    if mat.shape[0] == mat.shape[1]:
-        yield _Diags.of(mat)
-
-
 def _assert_renders_as_reference(mat):
+    """The square matrix mat, rendered from its diagonals, is the
+    per-entry renderer's text in every layout."""
     for sep, pad in _LAYOUTS:
         want = jsontext._block("[", _reference_matrix_rows(mat, sep), "]", pad)
-        for given in _inputs(mat):
-            assert jsontext._matrix(given, pad) == want, (type(given), pad)
+        assert jsontext._matrix(_Diags.of(mat), pad) == want, pad
 
 
 _PARTS = (0.0, -0.0, 1.0, -3.0, 2.0**52, 5e-324, -2.2250738585072014e-308,
@@ -480,10 +482,9 @@ def _random_matrix(rng, rows, cols, density):
 
 def test_matrix_rows_match_the_per_entry_renderer():
     rng = random.Random(7)
-    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 7), (7, 1), (5, 5), (12, 9)]
-    for rows, cols in shapes:
+    for n in (0, 1, 5, 12):
         for density in (0.0, 0.1, 0.5, 1.0):
-            _assert_renders_as_reference(_random_matrix(rng, rows, cols, density))
+            _assert_renders_as_reference(_random_matrix(rng, n, n, density))
 
 
 @settings(max_examples=200, deadline=None)
@@ -507,10 +508,9 @@ def test_non_finite_entries_give_the_same_error(bad, part):
     for sep, pad in _LAYOUTS:
         with pytest.raises(DomainError) as want:
             _reference_matrix_rows(mat, sep)
-        for given in _inputs(mat):
-            with pytest.raises(DomainError) as got:
-                jsontext._matrix(given, pad)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError) as got:
+            jsontext._matrix(_Diags.of(mat), pad)
+        assert str(got.value) == str(want.value)
 
 
 QUOTED = ["", "u", "ap", "matrices", "a b\tc\n", 'say "hi"', "back\\slash",

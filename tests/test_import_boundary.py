@@ -132,3 +132,11 @@ def test_exports_are_pinned_and_resolve():
     assert spheretorus.c_squared is spheretorus.reps.c_squared
     with pytest.raises(AttributeError, match="no_such_name"):
         spheretorus.no_such_name
+
+
+def test_a_submodule_resolves_through_the_package_getattr(monkeypatch):
+    # an imported submodule is an attribute of the package, so __getattr__
+    # sees its name only while that attribute is missing
+    reps = spheretorus.reps
+    monkeypatch.delattr(spheretorus, "reps")
+    assert spheretorus.reps is reps
