@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .algebra import AlgebraContext
 from .classify import (
@@ -43,7 +43,7 @@ from .classify import (
 )
 from .errors import DomainError, SpheretorusError, UsageError
 from .geometry import slice_curve, topology_of
-from .jsontext import render_json, render_json_compact
+from .jsontext import render_json, render_json_compact, render_pieces
 from .parser import parse_expr
 
 TWO_PI = 2.0 * math.pi
@@ -97,14 +97,16 @@ def _print_doc(args, doc: dict, text_lines: List[str], compact: bool = False) ->
     _deliver(args, text)
 
 
-def _deliver(args, text: str) -> None:
-    """Send output to --out (with a receipt on stdout) or stdout."""
+def _deliver(args, text: Iterable[str]) -> None:
+    """Send output to --out (with a receipt on stdout) or stdout: a str, or
+    the pieces of one (``render_pieces``), each written as it is made."""
+    pieces = [text] if isinstance(text, str) else text
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         sys.stdout.write(render_json_compact({"out": args.out}) + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _require(args, *dests) -> None:
@@ -286,9 +288,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_build(args) -> int:
     target = _build_target(args, args.family)
-    from .emit import emit_rep_json
+    from .emit import document
 
-    _deliver(args, emit_rep_json(target))
+    # every number is checked before the first piece is written
+    _deliver(args, render_pieces(document(target)))
     return 0
 
 

@@ -85,13 +85,18 @@ def nc_torus_document(u, v, n: int, k: int, beta: float, nu: complex) -> dict:
     }
 
 
+def document(m: Union[ReprMatrices, NcTorusPair],
+             report: Optional[ResidualReport] = None) -> dict:
+    """A representation's document, or a clock/shift pair's (report unused)."""
+    if isinstance(m, NcTorusPair):
+        return nc_torus_document(*m.diags, m.n, m.k, m.beta, m.nu)
+    return rep_document(m, report)
+
+
 def emit_rep_json(m: Union[ReprMatrices, NcTorusPair],
                   report: Optional[ResidualReport] = None) -> str:
-    """The JSON text of a representation or of a clock/shift pair (whose
-    document always carries freshly computed residuals)."""
-    if isinstance(m, NcTorusPair):
-        return render_json(nc_torus_document(*m.diags, m.n, m.k, m.beta, m.nu))
-    return render_json(rep_document(m, report))
+    """The JSON text of ``document(m, report)``."""
+    return render_json(document(m, report))
 
 
 def emit_nc_torus_json(u, v, n: int, k: int, beta: float = 0.0,
@@ -135,6 +140,7 @@ def _field(doc: dict, key: str, shape: tuple = (), kinds: str = "iuf") -> np.nda
 
 
 _MATRICES = '\n  "matrices": '
+_TAIL = '\n  },\n  "residuals": {'
 _KEY = re.compile(r'\n    "(\w+)": \[\n')
 # an entry other than [0, 0]: two numbers that float() reads, with no inf or nan
 _NUM = r"(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?)"
@@ -144,12 +150,15 @@ _ENTRY = re.compile(rf"\[(?!0, 0\]){_NUM}, {_NUM}\]")
 def _header(text: str) -> Optional[tuple]:
     """(doc, start, end): json.loads(text) with the matrices value,
     text[start:end], cut to {}; None unless text has render_json's layout
-    there and an n that fits.  With no backslash and one '"matrices"' left,
-    and that key on a line of its own, the {} is the top-level value."""
+    there and an n that fits.  The block ends where the residuals object,
+    the document's last few hundred bytes, begins: the block itself is not
+    read.  With no backslash and one '"matrices"' left, and that key on a
+    line of its own, the {} is the top-level value."""
     start = text.find(_MATRICES) + len(_MATRICES)
-    end = text.find("\n  }", start) + 4
+    end = text.rfind(_TAIL, start) + 4
     head = text[:start] + "{}" + text[end:]
-    if start < len(_MATRICES) or "\\" in head or head.count('"matrices"') != 1:
+    if start < len(_MATRICES) or end < 4 or "\\" in head or \
+            head.count('"matrices"') != 1:
         return None
     try:
         doc = json.loads(head)

@@ -23,8 +23,8 @@ relations, or the Weyl relation of an ``NcTorusPair``.  A ``ReprMatrices``
 (u, ap, am) and an ``NcTorusPair`` (u, v) store their matrices once, as
 nonzero diagonals (``_Diags``, the DIA format) that residuals,
 ``rep_evaluate`` and ``check_irreducible`` use in O(n * diagonals), and
-that documents are rendered from and loaded into by flat position
-(``_Diags.entries``, ``_Diags.at``), with no n x n array.  Dense input (a
+that documents are rendered from, diagonal by diagonal, and loaded into
+by flat position (``_Diags.at``), with no n x n array.  Dense input (a
 document that json.loads reads, an edited matrix) is read once, off-band
 entries included; ``.u``, ``.ap``, ``.am`` and ``.v`` are dense copies.
 Products and norms sum in offset order and ``rep_evaluate`` in (r, s) key
@@ -314,20 +314,6 @@ class _Diags:
             v[rows[on]] = values[on]
             d[a] = v
         return cls(n, d)
-
-    def entries(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(index, values) of the nonzero entries, the inverse of ``at``:
-        flat positions i*n + j in ascending order and the entries there."""
-        n = self.n
-        index, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
-        for a, v in self.d.items():
-            rows = np.arange(max(0, -a), min(n, n - a))
-            rows = rows[v[rows] != 0]
-            index.append(rows * (n + 1) + a)
-            values.append(v[rows])
-        index = np.concatenate(index)
-        order = np.argsort(index)
-        return index[order], np.concatenate(values)[order]
 
     @classmethod
     def eye(cls, n: int) -> "_Diags":

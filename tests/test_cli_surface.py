@@ -205,12 +205,22 @@ def test_repeated_calls_share_no_state():
     ["build", "t2", "--R", "1.7e308", "--n", "5", "--k", "1"],
     ["verify", "t2", "--R", "1.7e308", "--n", "5", "--k", "1"],
     ["verify", "t2window", "--R", "1.7e308", "--n", "3", "--alpha", "2.4"],
+    # the residuals, one of which overflows, follow the matrices in the
+    # document: --out F is not made, and an F that exists keeps its bytes
+    ["build", "t2", "--R", "1.7e308", "--n", "5", "--k", "1", "--out", "absent"],
+    ["build", "t2", "--R", "1.7e308", "--n", "5", "--k", "1", "--out", "kept"],
 ])
-def test_non_finite_results_exit_1(argv):
-    code, out, err = _run(argv)
+def test_non_finite_results_exit_1(argv, tmp_path):
+    path = tmp_path / argv[-1]
+    if argv[-1] == "kept":
+        path.write_bytes(b"kept\n")
+    code, out, err = _run(argv[:-1] + [str(path)] if "--out" in argv else argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert "non-finite" in json.loads(err)["error"]
+    if "--out" in argv:
+        assert (path.read_bytes() if path.exists() else None) == (
+            b"kept\n" if argv[-1] == "kept" else None)
 
 
 def test_zero_denominator_is_a_usage_error():

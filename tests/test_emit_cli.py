@@ -721,6 +721,34 @@ def test_verify_nc_torus_at_max_dim_makes_no_dense_pair():
     assert peak_kib < 100 * 1024, f"peak {peak_kib / 1024:.0f} MiB"
 
 
+def test_build_out_streams_the_document(tmp_path):
+    # the text of the n = 2048 chain is 101 MB; build --out writes it piece
+    # by piece, so it is never held whole (a render that joined it peaked at
+    # about 320 MiB).  The child reads its own peak before it checks the file
+    path = tmp_path / "chain.json"
+    script = (
+        "import resource, sys\n"
+        "from spheretorus import cli, emit\n"
+        "from spheretorus.classify import solve_minimal_s2\n"
+        "from spheretorus.reps import Family, ReprSpec, build\n"
+        "argv = ['build', 's2min', '--R', '0.5', '--n', '2048']\n"
+        "rc = cli.main(argv + ['--out', sys.argv[1]])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "rec = solve_minimal_s2(0.5, 2048)\n"
+        "text = emit.emit_rep_json(build(ReprSpec(Family.S2MIN, 0.5, 2048,\n"
+        "                                         rec.alpha, rec.beta_prime)))\n"
+        "with open(sys.argv[1], encoding='utf-8', newline='') as fh:\n"
+        "    same = fh.read() == text\n"
+        "sys.stderr.write(f'{rc} {peak} {same}')\n")
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    rc, peak_kib, same = proc.stderr.split()
+    assert rc == "0" and json.loads(proc.stdout) == {"out": str(path)}
+    assert same == "True"
+    assert int(peak_kib) < 160 * 1024, f"peak {int(peak_kib) / 1024:.0f} MiB"
+
+
 def test_the_module_runs_as_a_script(monkeypatch, capsys):
     # python -m spheretorus.cli, in this process; runpy warns when the
     # module it runs as __main__ is already imported

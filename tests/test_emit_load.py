@@ -219,6 +219,14 @@ MUTATIONS = {
     "nested matrices": lambda t, rng: t.replace(
         '\n  "matrices": ', '\n  "wrap": {\n  "matrices": ', 1).replace(
         '\n  },\n  "residuals"', '\n  }},\n  "residuals"', 1),
+    # the first three keep the tail that ends the matrices block
+    "duplicate key at the end": lambda t, rng: t[:-3] + ',\n  "matrices": {}\n}\n',
+    "escaped duplicate at the end": lambda t, rng: (
+        t[:-3] + ',\n  "\\u006datrices": {}\n}\n'),
+    "nested matrices and residuals": lambda t, rng: t.replace(
+        '\n  "matrices": ', '\n  "wrap": {\n  "matrices": ', 1)[:-1] + "}\n",
+    "matrix closed by a brace": lambda t, rng: t.replace(
+        '\n    ],\n    "', '\n    },\n    "', 1),
     "reordered keys": _reordered,
     "CRLF": lambda t, rng: t.replace("\n", "\r\n"),
     "ragged row": _ragged,
@@ -255,10 +263,27 @@ def test_mutations_change_the_text():
 def test_only_canonical_text_takes_the_band_path():
     text = _text("t2", 9)
     rng = random.Random(1)
-    canonical = ("off-band entry", "reordered keys", "repeated matrix name")
+    canonical = ("off-band entry", "repeated matrix name")
     for name, mutate in MUTATIONS.items():
-        taken = _scanned(mutate(text, rng)) is not None
-        assert taken == (name in canonical), name
+        changed = mutate(text, rng)
+        # the block's end is found at the residuals, so a reordered text is
+        # read only where they still follow the matrices
+        want = name in canonical or (name == "reordered keys"
+                                     and emit._TAIL in changed)
+        assert (_scanned(changed) is not None) == want, name
+
+
+def test_the_block_ends_where_the_residuals_begin():
+    doc = json.loads(_text("t2", 9))
+    doc["matrices"] = dict(reversed(doc["matrices"].items()))
+    keys = [key for key in reversed(doc) if key not in ("matrices", "residuals")]
+    tail = emit.render_json({key: doc[key]
+                             for key in keys + ["matrices", "residuals"]})
+    apart = emit.render_json({key: doc[key]
+                              for key in ["matrices"] + keys + ["residuals"]})
+    assert _scanned(tail) is not None and _scanned(apart) is None
+    for text in (tail, apart):
+        assert _outcome(text) == _reference(text) == _outcome(_text("t2", 9))
 
 
 @pytest.mark.parametrize("old,new", [('{\n    "u"', '[\n    "u"'),
@@ -495,6 +520,42 @@ def test_matrix_rows_match_on_drawn_entries(entries):
     for at, re_, im in entries:
         mat.flat[at] = complex(re_, im)
     _assert_renders_as_reference(mat)
+
+
+def _diags(n, **d):
+    """A hand-made _Diags: d["o2"] is offset 2, d["m1"] offset -1."""
+    return _Diags(n, {int(a[1:]) * (-1 if a[0] == "m" else 1):
+                      np.array(v, dtype=complex) for a, v in d.items()})
+
+
+HAND_MADE = {
+    "all-zero diagonal": _diags(4, o0=[0, 0, 0, 0], o1=[1, 2, 3, 0]),
+    "zeros and -0.0 inside": _diags(4, o0=[0, complex(-0.0, 1),
+                                           complex(2, -0.0),
+                                           complex(-0.0, -0.0)]),
+    "junk past the ends": _diags(4, o1=[1, 2, 3, 99], m2=[99, math.nan, 1, 2],
+                                 o4=[5, 5, 5, 5], m7=[6, 6, 6, 6]),
+    "corner only": _diags(5, m4=[0, 0, 0, 0, 0.5 - 2j]),
+    "other corner only": _diags(5, o4=[-1.5, 0, 0, 0, 0]),
+    "diagonals out of order": _diags(4, o1=[1, 2, 3, 0], m1=[0, 4, 5, 6],
+                                     o0=[7j, 0, 8, 9], m3=[0, 0, 0, 1e-300]),
+    "n = 1": _diags(1, o0=[complex(0.25, -0.0)]),
+    "n = 1, zero": _diags(1, o0=[0], o1=[3]),
+}
+
+
+@pytest.mark.parametrize("name", HAND_MADE)
+def test_hand_made_diagonals_render_as_the_reference(name):
+    # the entries of the matrix are what dense() makes of the diagonals:
+    # values past a diagonal's end are not entries
+    mat = HAND_MADE[name]
+    for sep, pad in _LAYOUTS:
+        want = jsontext._block("[", _reference_matrix_rows(mat.dense(), sep),
+                               "]", pad)
+        assert jsontext._matrix(mat, pad) == want, pad
+    assert json.loads(emit.render_json({"m": mat})) == {
+        "m": json.loads(jsontext._matrix(mat, None))}
+    assert emit.render_json_compact([mat]) == "[" + jsontext._matrix(mat, None) + "]"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
