@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Iterable, List, Optional
 
 from .errors import DomainError
+from .geometry import TopologyLabel, topology_of
 
 TWO_PI = 2.0 * math.pi
 ENDPOINT_TOL = 1e-9  # sphere chains: |C|^2 ends within it of 0 (chain_reason)
@@ -263,7 +264,10 @@ def enumerate_s2_nonminimal(
     ulp can add a bracket but never drop one.  Each candidate is
     re-evaluated with math.cos and its root comes from ``_bisect``, the one
     bisection, to adjacent floats, so every root is what a scalar scan of
-    the grid finds.
+    the grid finds.  An exact zero at a grid point is the root of the
+    bracket that starts there alone (the one that ends there has h1*h2 = 0),
+    so no root is listed twice, and the two roots of a near-double root
+    that straddle a grid point are both listed.
     Branch B takes the rational angles alpha = 2*pi*k'/n, gcd(k', n) = 1,
     and solves cos(beta') = -R*cos(pi*k'/n) for both roots in (-2*pi, 0].
     Candidates failing ``chain_reason`` are kept with its reason.
@@ -295,8 +299,6 @@ def enumerate_s2_nonminimal(
                 alpha = _bisect(h, a1, a2)
             else:
                 continue
-            if records and abs(records[-1].alpha - alpha) < 1e-9:
-                continue  # a root at the end two brackets share
             records.append(_candidate(R, n, "A", k, alpha, pk - half_n * alpha,
                                       abs(h(alpha))))
 
@@ -358,6 +360,15 @@ _REGION_FLAGS = {
 }
 
 
+# the region of every surface type but the torus, which eps splits
+_SURFACE_REGION = {
+    TopologyLabel.NULL: RegionLabel.NULL,
+    TopologyLabel.POINT: RegionLabel.POINT,
+    TopologyLabel.CONVEX_SPHERE: RegionLabel.SPHERE,
+    TopologyLabel.SPHERE: RegionLabel.SPHERE,
+    TopologyLabel.VARIETY: RegionLabel.VARIETY,
+}
+
 # relative tolerance of the R = R_eps boundary in classify_region
 R_EPS_REL_TOL = 1e-7
 
@@ -365,8 +376,8 @@ R_EPS_REL_TOL = 1e-7
 def classify_region(R: float, eps: float) -> RegionInfo:
     """Region of the (R, eps) plane and the families available there.
 
-    R = -1 and R = 1 are matched exactly, as in geometry.topology_of, so
-    both agree on the surface type.  Above R = 1 the irrational boundary
+    The surface type is geometry.topology_of's, which matches R = -1 and
+    R = 1 exactly, so both agree on it.  Above R = 1 the irrational boundary
     R = R_eps = sqrt(1 + eps^2) is matched from above only, up to R_eps *
     (1 + R_EPS_REL_TOL): probe values are decimal roundings of the exact
     root, and below R_eps no window builds.
@@ -375,14 +386,9 @@ def classify_region(R: float, eps: float) -> RegionInfo:
     if not eps > 0.0:  # nan included
         raise DomainError(f"eps must be positive, got {eps!r}")
     r_eps = math.sqrt(1.0 + eps * eps)
-    if R < -1.0:
-        label = RegionLabel.NULL
-    elif R == -1.0:
-        label = RegionLabel.POINT
-    elif R < 1.0:
-        label = RegionLabel.SPHERE
-    elif R == 1.0:
-        label = RegionLabel.VARIETY
+    surface = topology_of(R)
+    if surface is not TopologyLabel.TORUS:
+        label = _SURFACE_REGION[surface]
     elif r_eps <= R <= r_eps * (1.0 + R_EPS_REL_TOL):
         label = RegionLabel.SPHERE_TORUS_BOUNDARY
     elif R < r_eps:

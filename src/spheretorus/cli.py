@@ -13,38 +13,25 @@ in text output; JSON/CSV/SVG are never colored).
 
 build_parser() declares each subcommand with its own flags; main() parses
 with one parser, built on its first call and kept for the process.
-Importing this module loads no numpy.  The handlers that compute with
-arrays (enum-s2, build, verify, sweep, diagram) load it when they run:
-they import ``reps`` and ``emit`` there, and the non-minimal chain scan
-imports numpy itself.
+Importing this module loads no engine: only argparse, the standard library
+and ``errors``.  Each handler imports what it runs when it runs: ``geometry``
+(topology, slice), ``classify`` (the solvers, classify, enum-s2, sweep),
+``parser`` (reduce, poisson), ``reps`` and ``emit`` (build, verify,
+diagram), and ``jsontext`` to write a document or an error record.  So a
+command loads only its own engine, and only ``reps``, ``emit`` and the
+non-minimal chain scan load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Iterable, List, Optional
 
-from .algebra import AlgebraContext
-from .classify import (
-    Family,
-    SolutionRecord,
-    SweepRow,
-    classify_region,
-    enumerate_s2_nonminimal,
-    solve_minimal_s2,
-    sweep_regions,
-    t2_beta_window,
-)
 from .errors import DomainError, SpheretorusError, UsageError
-from .geometry import slice_curve, topology_of
-from .jsontext import render_json, render_json_compact, render_pieces
-from .parser import parse_expr
 
 TWO_PI = 2.0 * math.pi
 # size caps; `build` writes 403 MB (s2min) or 269 MB (nc-torus) at MAX_DIM
@@ -55,10 +42,11 @@ MAX_SWEEP = 1024
 MAX_MESSAGE = 240
 
 _NO_BETA = "no admissible beta': below the finite-torus threshold"
-_BUILD_FAMILIES = tuple(family.value for family in Family)
+# Family's values, in its order; literal, so that the parser loads no classify
+_BUILD_FAMILIES = ("s2min", "s2nonmin", "t2", "t2window", "fuzzy-sphere",
+                   "nc-torus")
 # the families with an (R, n, alpha, beta') spec that diagram can draw
-_REP_FAMILIES = tuple(family.value for family in Family
-                      if family not in (Family.FUZZY_SPHERE, Family.NC_TORUS))
+_REP_FAMILIES = _BUILD_FAMILIES[:4]
 
 
 def _paint(text: str, code: str, stream) -> str:
@@ -75,6 +63,8 @@ def _tnum(x: Optional[float]) -> str:
 
 def _fail(args, exc: SpheretorusError) -> int:
     """Write the one error record of a failure; return its exit code."""
+    from .jsontext import render_json_compact
+
     message = str(exc)
     if len(message) > MAX_MESSAGE:
         message = message[:MAX_MESSAGE] + "..."
@@ -89,12 +79,12 @@ def _fail(args, exc: SpheretorusError) -> int:
 
 def _print_doc(args, doc: dict, text_lines: List[str], compact: bool = False) -> None:
     if args.format == "text":
-        text = "".join(line + "\n" for line in text_lines)
-    elif compact:
-        text = render_json_compact(doc) + "\n"
-    else:
-        text = render_json(doc)
-    _deliver(args, text)
+        _deliver(args, "".join(line + "\n" for line in text_lines))
+        return
+    from .jsontext import render_json, render_json_compact
+
+    _deliver(args, render_json_compact(doc) + "\n" if compact
+             else render_json(doc))
 
 
 def _deliver(args, text: Iterable[str]) -> None:
@@ -102,6 +92,8 @@ def _deliver(args, text: Iterable[str]) -> None:
     the pieces of one (``render_pieces``), each written as it is made."""
     pieces = [text] if isinstance(text, str) else text
     if getattr(args, "out", None):
+        from .jsontext import render_json_compact
+
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(pieces)
         sys.stdout.write(render_json_compact({"out": args.out}) + "\n")
@@ -124,6 +116,8 @@ def _nu(args) -> complex:
 
 def _record_doc(rec) -> dict:
     """A record dataclass's fields, in declaration order."""
+    import dataclasses
+
     return {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
 
 
@@ -163,6 +157,7 @@ _SPEC_FLAGS = {
 
 def _resolve_spec(args, family: str) -> ReprSpec:
     _require(args, *_SPEC_FLAGS[family])
+    from .classify import Family, solve_minimal_s2, t2_beta_window
     from .reps import ReprSpec
 
     if family == "s2min":
@@ -205,12 +200,16 @@ def _build_target(args, family: str):
 
 
 def _cmd_topology(args) -> int:
+    from .geometry import topology_of
+
     label = topology_of(args.R).value
     _print_doc(args, {"label": label}, [label], compact=True)
     return 0
 
 
 def _cmd_slice(args) -> int:
+    from .geometry import slice_curve
+
     points = slice_curve(args.R, samples=args.grid)
     if args.format == "csv":
         lines = ["x,z"] + [f"{_tnum(x)},{_tnum(z)}" for x, z in points]
@@ -223,6 +222,8 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_solve_min_s2(args) -> int:
+    from .classify import solve_minimal_s2
+
     rec = solve_minimal_s2(args.R, args.n)
     if not rec.exists:
         raise DomainError(rec.reject_reason, _record_doc(rec))
@@ -231,6 +232,8 @@ def _cmd_solve_min_s2(args) -> int:
 
 
 def _cmd_enum_s2(args) -> int:
+    from .classify import SweepRow, enumerate_s2_nonminimal
+
     records = enumerate_s2_nonminimal(args.R, args.n, grid=args.grid)
     if args.format == "csv":
         from .emit import emit_sweep_csv
@@ -250,6 +253,8 @@ def _cmd_enum_s2(args) -> int:
 
 
 def _cmd_t2_window(args) -> int:
+    from .classify import t2_beta_window
+
     win = t2_beta_window(args.R, args.n, args.k)
     doc = {
         "family": "t2",
@@ -271,6 +276,8 @@ def _cmd_t2_window(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify_region
+
     info = classify_region(args.R, args.eps)
     doc = {
         "label": info.label.value,
@@ -289,6 +296,7 @@ def _cmd_classify(args) -> int:
 def _cmd_build(args) -> int:
     target = _build_target(args, args.family)
     from .emit import document
+    from .jsontext import render_pieces
 
     # every number is checked before the first piece is written
     _deliver(args, render_pieces(document(target)))
@@ -309,6 +317,7 @@ def _cmd_verify(args) -> int:
             f"target {target!r} is neither a readable file nor a family "
             f"({', '.join(_BUILD_FAMILIES)})"
         )
+    from .classify import Family
     from .reps import ReprMatrices, check_irreducible, verify_relations
 
     report = verify_relations(loaded)
@@ -355,10 +364,16 @@ def _print_form(args, nf) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .algebra import AlgebraContext
+    from .parser import parse_expr
+
     return _print_form(args, parse_expr(args.expr, AlgebraContext(args.R)))
 
 
 def _cmd_poisson(args) -> int:
+    from .algebra import AlgebraContext
+    from .parser import parse_expr
+
     ctx = AlgebraContext(args.R)
     f, g = parse_expr(args.f, ctx), parse_expr(args.g, ctx)
     return _print_form(args, f.poisson(g))
@@ -390,6 +405,8 @@ def _parse_R_range(args) -> List[float]:
 
 
 def _cmd_sweep(args) -> int:
+    from .classify import sweep_regions
+
     rows = sweep_regions(args.n, _parse_R_range(args), grid=args.grid)
     if args.format == "json":
         # a SweepRow's __dict__ holds its fields in declaration order
@@ -445,6 +462,8 @@ def _bounded_int(lo: int, hi: int):
 
 def _fraction(text: str) -> Fraction:
     """argparse type of an exact option: 1/0 is a usage error as well."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
-from .algebra import CommutativePoly
 from .errors import ChartDomainError, DomainError
+
+if TYPE_CHECKING:  # an annotation only: topology and slice load no algebra
+    from .algebra import CommutativePoly
 
 
 class Point3(NamedTuple):

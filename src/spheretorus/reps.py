@@ -36,11 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .algebra import ContextMismatch, NormalForm
 # the scalar chain core lives in the numpy-free classify; re-exported here
 from .classify import (
     Family,
@@ -53,6 +52,9 @@ from .classify import (
     minimal_reason,
 )
 from .errors import InvalidSpec
+
+if TYPE_CHECKING:  # an annotation only: build and verify load no algebra
+    from .algebra import NormalForm
 
 TWO_PI = 2.0 * math.pi
 IRREDUCIBLE_TOL = 2.0 ** -43  # 512 ulps of 1: closer eigenvalues are equal
@@ -432,6 +434,8 @@ def verify_relations(m: Union[ReprMatrices, NcTorusPair]) -> ResidualReport:
 def rep_evaluate(f: NormalForm, m: ReprMatrices) -> np.ndarray:
     """Matrix image of a normal form under this representation."""
     if float(f.ctx.R) != m.spec.R:
+        from .algebra import ContextMismatch
+
         raise ContextMismatch(
             f"form has R={float(f.ctx.R)!r}, representation has R={m.spec.R!r}"
         )

@@ -171,9 +171,6 @@ def _enumerate_scalar(R, n, grid=4096):
                     a1, h1 = mid, hm
             roots.append((mid, k))
         for alpha, k in roots:
-            if records and records[-1].branch == "A" and \
-                    abs((records[-1].alpha or 0.0) - alpha) < 1e-9:
-                continue
             beta_prime = math.pi * k - 0.5 * n * alpha
             records.append(
                 _candidate(R, n, "A", k, alpha, beta_prime, abs(h(alpha, k)))
@@ -235,6 +232,27 @@ def test_enumeration_root_on_a_grid_point(R, n, grid, i):
     rec = next(r for r in recs if r.alpha == a1)
     assert (rec.branch, rec.k, rec.residual) == ("A", 0, 0.0)
     assert isinstance(rec, SolutionRecord) and type(rec.alpha) is float
+
+
+def test_enumeration_keeps_both_roots_of_a_split_tangency():
+    # at (n, k) = (4095, 1429), h touches zero near alpha = 2.19412843515;
+    # this R lowers h so that its two roots lie 8e-10 apart, one on each
+    # side of grid point i, where h is -3.4e-13, far above its rounding
+    R, n, grid, i, k = 2.1919700851503907, 4095, 16488, 11513, 1429
+    lo, hi = TWO_PI / n + 1e-12, math.pi - 1e-12
+    before, at, after = (lo + (hi - lo) * j / grid for j in (i - 1, i, i + 1))
+
+    def h(alpha):
+        return math.cos(math.pi * k - 0.5 * n * alpha) + R * math.cos(0.5 * alpha)
+
+    assert h(before) > 0.07 and h(after) > 0.07
+    assert -4e-13 < h(at) < -3e-13
+    recs = enumerate_s2_nonminimal(R, n, grid=grid)
+    left, right = [r for r in recs if before < r.alpha < after]
+    assert (left.branch, left.k, right.branch, right.k) == ("A", k, "A", k)
+    assert left.alpha < at < right.alpha < left.alpha + 1e-9
+    assert h(left.alpha) * h(math.nextafter(left.alpha, math.inf)) <= 0.0
+    assert h(right.alpha) * h(math.nextafter(right.alpha, -math.inf)) <= 0.0
 
 
 def test_enumeration_does_not_depend_on_the_scan_memo():

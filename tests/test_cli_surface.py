@@ -23,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spheretorus
-from spheretorus import cli
+from spheretorus import cli, geometry
+from spheretorus.classify import Family
 from spheretorus.errors import SpheretorusError, UsageError
 from spheretorus.parser import ParseError
 
@@ -48,6 +49,14 @@ def test_help_text_is_pinned(monkeypatch):
         assert (code, err) == (0, "")
         parts.append("$ spheretorus " + " ".join(argv) + "\n" + out)
     assert "\n".join(parts) == golden.read_text(encoding="utf-8")
+
+
+def test_family_choices_are_the_family_values():
+    # literal in cli, so that building the parser loads no classify
+    assert cli._BUILD_FAMILIES == tuple(family.value for family in Family)
+    assert cli._REP_FAMILIES == tuple(
+        family.value for family in Family
+        if family not in (Family.FUZZY_SPHERE, Family.NC_TORUS))
 
 
 _LONG = "7" * 5000  # past Python's default 4300-digit int/str limit
@@ -313,7 +322,7 @@ def _raise(exc):
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_error_class_writes_one_record(cls, fmt, monkeypatch):
     exc = cls("boom", 0) if cls is ParseError else cls("boom")
-    monkeypatch.setattr(cli, "topology_of", _raise(exc))
+    monkeypatch.setattr(geometry, "topology_of", _raise(exc))
     code, out, err = _run(["topology", "--R", "1", "--format", fmt])
     assert (code, out) == (cls.exit_code, "")
     assert len(err.splitlines()) == 1
@@ -326,7 +335,7 @@ def test_every_error_class_writes_one_record(cls, fmt, monkeypatch):
 @pytest.mark.parametrize("fmt, record", [
     ("json", '{"error":"boom","R":1}\n'), ("text", "error: boom\n")])
 def test_a_record_follows_the_message(fmt, record, monkeypatch):
-    monkeypatch.setattr(cli, "topology_of", _raise(
+    monkeypatch.setattr(geometry, "topology_of", _raise(
         cli.DomainError("boom", {"R": 1})))
     assert _run(["topology", "--R", "1", "--format", fmt]) == (1, "", record)
 

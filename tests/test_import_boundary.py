@@ -1,10 +1,13 @@
-"""numpy stays off the start-up path of the package and of the CLI.
+"""numpy stays off the start-up path of the package and of the CLI, and a
+CLI command loads only its own engine.
 
 A subprocess makes every import of numpy fail (``sys.modules["numpy"] =
 None``), then imports the package and the CLI and runs ``--help``, usage
 errors, error records and the README commands that compute without
 arrays.  Each must give the exit code, stdout and stderr of the same call
-in this process, where numpy is available.
+in this process, where numpy is available.  One fresh interpreter per
+case then pins the package modules that importing the CLI, ``--help``, a
+usage error and each README command load.
 """
 
 import contextlib
@@ -27,6 +30,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # diagram compute with arrays
 NUMPY_FREE = ("topology", "slice", "solve-min-s2", "t2-window", "classify",
               "reduce", "poisson")
+
+# what importing the CLI loads of the package, and what each README
+# command loads beyond it: its engine, and jsontext to write JSON
+CLI_ONLY = ["spheretorus", "spheretorus.cli", "spheretorus.errors"]
+_GEOMETRY = ["spheretorus.geometry"]
+_CLASSIFY = ["spheretorus.classify", "spheretorus.geometry",
+             "spheretorus.jsontext"]
+_PARSER = ["spheretorus.algebra", "spheretorus.epsring", "spheretorus.jsontext",
+           "spheretorus.parser"]
+_ARRAYS = _CLASSIFY + ["spheretorus.emit", "spheretorus.reps"]
+ENGINES = {"topology": _GEOMETRY + ["spheretorus.jsontext"],
+           "slice": _GEOMETRY,  # the README's slice writes csv
+           "solve-min-s2": _CLASSIFY, "t2-window": _CLASSIFY,
+           "classify": _CLASSIFY, "reduce": _PARSER, "poisson": _PARSER,
+           "enum-s2": _ARRAYS, "build": _ARRAYS, "verify": _ARRAYS,
+           "sweep": _ARRAYS, "diagram": _ARRAYS}
 
 EXPORTS = [
     "AlgebraContext", "BetaWindow", "CRat", "ChartDomainError",
@@ -65,6 +84,19 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps({"loaded": loaded, "unresolved": unresolved, "runs": runs}))
+"""
+
+
+_LOADED = r"""
+import contextlib, io, json, sys
+from spheretorus import cli
+argv, code = json.loads(sys.argv[1]), None
+if argv is not None:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("spheretorus"))]))
 """
 
 
@@ -140,3 +172,28 @@ def test_a_submodule_resolves_through_the_package_getattr(monkeypatch):
     reps = spheretorus.reps
     monkeypatch.delattr(spheretorus, "reps")
     assert spheretorus.reps is reps
+
+
+def _loaded(argv, cwd=None):
+    """Exit code of ``cli.main(argv)`` (None: not called) in a fresh
+    interpreter, and the package modules loaded after it."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_the_cli_loads_no_engine_at_import():
+    assert _loaded(None) == [None, CLI_ONLY]
+    assert _loaded(["--help"]) == [0, CLI_ONLY]
+    assert _loaded(["topology"]) == [2, CLI_ONLY + ["spheretorus.jsontext"]]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_a_command_loads_only_its_engine(argv, tmp_path):
+    if argv[0] == "verify":  # the file that the README's build writes
+        _run(["build", "s2min", "--R", "0.5", "--n", "5",
+              "--out", str(tmp_path / argv[1])])
+    assert _loaded(argv, tmp_path) == [0, sorted(CLI_ONLY + ENGINES[argv[0]])]
